@@ -1,6 +1,6 @@
 // Microbenchmarks for the SLEDs hot paths: cache ops, kernel SLED scans,
-// picker stepping, the Horspool search, and FITS pixel codecs. These bound
-// the CPU overhead the SLEDs machinery adds per I/O.
+// picker stepping, the text kernels behind grep and wc, and FITS pixel
+// codecs. These bound the CPU overhead the SLEDs machinery adds per I/O.
 //
 // Two layers:
 //  * A wall-clock suite (std::chrono, real time — NOT the simulated clock)
@@ -18,15 +18,17 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/apps/grep.h"
+#include "src/apps/app_costs.h"
 #include "src/cache/page_cache.h"
 #include "src/common/log.h"
 #include "src/common/rng.h"
+#include "src/common/text_scan.h"
 #include "src/device/disk_device.h"
 #include "src/fits/fits.h"
 #include "src/fs/extent_file_system.h"
 #include "src/kernel/sim_kernel.h"
 #include "src/sleds/picker.h"
+#include "src/workload/text_gen.h"
 
 namespace sled {
 namespace {
@@ -111,19 +113,46 @@ void BM_PickerFullWalk(benchmark::State& state) {
 }
 BENCHMARK(BM_PickerFullWalk)->Arg(1024)->Arg(8192);
 
-void BM_HorspoolSearch(benchmark::State& state) {
+// One 64 KiB block of the wc/grep generator's text (GenerateTextFile, no
+// marker), read back through the simulated kernel: the unit grep searches and
+// wc counts per read() at the default buffer size.
+std::string GeneratorBlock() {
+  KernelConfig config;
+  config.cache.capacity_pages = 64;
+  SimKernel kernel(config);
+  (void)kernel.Mount("/", std::make_unique<ExtFs>(
+                              "ext2", std::make_unique<DiskDevice>(DiskDeviceConfig{})));
+  Process& proc = kernel.CreateProcess("gen");
   Rng rng(1);
-  std::string haystack;
-  haystack.reserve(1 << 20);
-  for (int i = 0; i < (1 << 20); ++i) {
-    haystack.push_back(static_cast<char>('a' + rng.Uniform(0, 25)));
-  }
+  (void)GenerateTextFile(kernel, proc, "/t.txt", kDefaultAppBuffer, rng);
+  std::string block(static_cast<size_t>(kDefaultAppBuffer), '\0');
+  const int fd = kernel.Open(proc, "/t.txt").value();
+  block.resize(static_cast<size_t>(
+      kernel.Read(proc, fd, std::span<char>(block.data(), block.size())).value()));
+  return block;
+}
+
+// The searcher grep builds once per run, scanning one block for the marker
+// (absent, as in all but one block of a grep -q run).
+void BM_HorspoolSearch(benchmark::State& state) {
+  const std::string block = GeneratorBlock();
+  const TextSearcher searcher(kGrepMarker);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(HorspoolSearchAll(haystack, "XNEEDLEX"));
+    benchmark::DoNotOptimize(searcher.Find(block));
   }
-  state.SetBytesProcessed(state.iterations() * (1 << 20));
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(block.size()));
 }
 BENCHMARK(BM_HorspoolSearch);
+
+// wc's (and the kCount program's) count kernel over one block.
+void BM_TextCount(benchmark::State& state) {
+  const std::string block = GeneratorBlock();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(CountText(block, false));
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(block.size()));
+}
+BENCHMARK(BM_TextCount);
 
 void BM_FitsPixelCodec(benchmark::State& state) {
   const int bitpix = static_cast<int>(state.range(0));

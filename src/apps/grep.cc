@@ -1,44 +1,35 @@
 #include "src/apps/grep.h"
 
 #include <algorithm>
-#include <array>
 #include <deque>
 #include <memory>
 
+#include "src/common/text_scan.h"
 #include "src/sleds/picker.h"
 
 namespace sled {
 
 std::vector<size_t> HorspoolSearchAll(std::string_view haystack, std::string_view needle) {
   std::vector<size_t> hits;
-  if (needle.empty() || haystack.size() < needle.size()) {
-    return hits;
-  }
-  std::array<size_t, 256> shift;
-  shift.fill(needle.size());
-  for (size_t i = 0; i + 1 < needle.size(); ++i) {
-    shift[static_cast<uint8_t>(needle[i])] = needle.size() - 1 - i;
-  }
-  size_t pos = 0;
-  while (pos + needle.size() <= haystack.size()) {
-    if (haystack.compare(pos, needle.size(), needle) == 0) {
-      hits.push_back(pos);
-    }
-    pos += shift[static_cast<uint8_t>(haystack[pos + needle.size() - 1])];
+  const TextSearcher searcher(needle);
+  for (size_t pos = searcher.Find(haystack); pos != std::string_view::npos;
+       pos = searcher.Find(haystack, pos + 1)) {
+    hits.push_back(pos);
   }
   return hits;
 }
 
 namespace {
 
-// Per contiguous-run line scanner: assembles complete lines from chunks that
-// arrive in order, searches them, and records matches with enough local
-// context to reconstruct global line numbers later.
+// Per contiguous-run line scanner: takes chunks that arrive in order, searches
+// their complete lines, and records matches with enough local context to
+// reconstruct global line numbers later. Chunks are searched in place; only
+// the partial line at the end of a chunk is carried over to the next one.
 class RunScanner {
  public:
   RunScanner(std::string_view pattern, const GrepOptions& options,
              std::vector<GrepMatch>* matches)
-      : pattern_(pattern), options_(options), matches_(matches) {}
+      : searcher_(pattern), options_(options), matches_(matches) {}
 
   // Begin a new contiguous run at `offset`. Flushes nothing: callers must
   // FinishRun() first.
@@ -47,8 +38,7 @@ class RunScanner {
     next_offset_ = offset;
     pending_.clear();
     pending_start_ = offset;
-    local_newlines_ = 0;
-    run_newlines_ = 0;
+    newlines_ = 0;
     before_buf_.clear();
     after_pending_.clear();
   }
@@ -57,29 +47,29 @@ class RunScanner {
 
   // Feed the next chunk of the run; returns true if -q satisfied.
   bool Feed(std::string_view data) {
-    pending_ += data;
     next_offset_ += static_cast<int64_t>(data.size());
-    // Process complete lines (up to the last newline).
-    const size_t last_nl = pending_.rfind('\n');
-    if (last_nl == std::string::npos) {
+    const size_t last_nl = data.rfind('\n');
+    if (last_nl == std::string_view::npos) {
+      pending_ += data;
       return false;
     }
-    const bool done = ScanLines(std::string_view(pending_).substr(0, last_nl + 1));
-    pending_.erase(0, last_nl + 1);
-    pending_start_ += static_cast<int64_t>(last_nl + 1);
+    size_t begin = 0;
+    if (!pending_.empty()) {
+      // Complete the carried line with this chunk's first line.
+      begin = data.find('\n') + 1;
+      pending_ += data.substr(0, begin);
+      if (ScanPending()) {
+        return true;
+      }
+    }
+    const bool done = Scan(data.substr(begin, last_nl + 1 - begin), pending_start_);
+    pending_start_ += static_cast<int64_t>(last_nl + 1 - begin);
+    pending_.assign(data.substr(last_nl + 1));
     return done;
   }
 
   // End of run: the remainder (no trailing newline) is still a line.
-  bool FinishRun() {
-    if (pending_.empty()) {
-      return false;
-    }
-    const bool done = ScanLines(pending_);
-    pending_start_ += static_cast<int64_t>(pending_.size());
-    pending_.clear();
-    return done;
-  }
+  bool FinishRun() { return !pending_.empty() && ScanPending(); }
 
   // (newline count, run info) bookkeeping for -n reconstruction.
   struct RunInfo {
@@ -87,44 +77,68 @@ class RunScanner {
     int64_t length = 0;
     int64_t newlines = 0;
   };
-  RunInfo TakeRunInfo() const { return {run_start_, next_offset_ - run_start_, run_newlines_}; }
-  void ResetRunNewlines() { run_newlines_ = 0; }
+  RunInfo TakeRunInfo() const { return {run_start_, next_offset_ - run_start_, newlines_}; }
 
  private:
-  // Scan whole lines in `text` (which starts at pending_start_).
-  bool ScanLines(std::string_view text) {
+  bool ScanPending() {
+    const bool done = Scan(pending_, pending_start_);
+    pending_start_ += static_cast<int64_t>(pending_.size());
+    pending_.clear();
+    return done;
+  }
+
+  // Scan the whole lines in `text`, which starts at file offset `base`. Every
+  // line ends in '\n' except, at the end of a run, the last.
+  bool Scan(std::string_view text, int64_t base) {
+    if (options_.before_context > 0 || options_.after_context > 0) {
+      return ScanLinesWithContext(text, base);
+    }
+    // Search the block once and jump from hit to hit. The pattern holds no
+    // '\n', so each hit lies inside one line. Skipped newlines are counted
+    // only for -n, the one output that needs them.
+    size_t line_start = 0;  // first line whose newline is not yet counted
+    auto count_newlines_to = [&](size_t end) {
+      if (options_.line_numbers) {
+        newlines_ += CountNewlines(text.substr(line_start, end - line_start));
+      }
+    };
+    for (size_t pos = searcher_.Find(text); pos != std::string_view::npos;
+         pos = searcher_.Find(text, line_start)) {
+      const size_t nl_before = text.rfind('\n', pos);
+      const size_t hit_line = nl_before == std::string_view::npos ? 0 : nl_before + 1;
+      count_newlines_to(hit_line);
+      const size_t line_end = std::min(text.find('\n', pos), text.size());
+      if (Record(text.substr(hit_line, line_end - hit_line),
+                 base + static_cast<int64_t>(hit_line))) {
+        return true;
+      }
+      if (line_end == text.size()) {
+        return false;
+      }
+      ++newlines_;
+      line_start = line_end + 1;
+    }
+    count_newlines_to(text.size());
+    return false;
+  }
+
+  // The exact line-at-a-time path, for -A/-B context.
+  bool ScanLinesWithContext(std::string_view text, int64_t base) {
     size_t line_start = 0;
     while (line_start < text.size()) {
-      size_t line_end = text.find('\n', line_start);
-      size_t next = 0;
-      if (line_end == std::string_view::npos) {
-        line_end = text.size();
-        next = line_end;
-      } else {
-        next = line_end + 1;
-      }
+      const size_t line_end = std::min(text.find('\n', line_start), text.size());
       const std::string_view line = text.substr(line_start, line_end - line_start);
       // Feed -A context of earlier matches in this run.
-      if (!after_pending_.empty()) {
-        for (auto it = after_pending_.begin(); it != after_pending_.end();) {
-          (*matches_)[it->first].after.emplace_back(line);
-          if (--it->second == 0) {
-            it = after_pending_.erase(it);
-          } else {
-            ++it;
-          }
+      for (auto it = after_pending_.begin(); it != after_pending_.end();) {
+        (*matches_)[it->first].after.emplace_back(line);
+        if (--it->second == 0) {
+          it = after_pending_.erase(it);
+        } else {
+          ++it;
         }
       }
-      if (!HorspoolSearchAll(line, pattern_).empty()) {
-        GrepMatch m;
-        m.line_offset = pending_start_ + static_cast<int64_t>(line_start);
-        // Local line index within this run; converted to a global number
-        // after all runs are merged.
-        m.line_number = local_newlines_;
-        m.line = std::string(line);
-        m.before.assign(before_buf_.begin(), before_buf_.end());
-        matches_->push_back(std::move(m));
-        if (options_.quiet_first_match) {
+      if (searcher_.Find(line) != std::string_view::npos) {
+        if (Record(line, base + static_cast<int64_t>(line_start))) {
           return true;
         }
         if (options_.after_context > 0) {
@@ -138,23 +152,34 @@ class RunScanner {
         }
       }
       if (line_end < text.size()) {
-        ++local_newlines_;
-        ++run_newlines_;
+        ++newlines_;
       }
-      line_start = next;
+      line_start = line_end + 1;
     }
     return false;
   }
 
-  std::string_view pattern_;
+  // Record a matching line; returns true if -q is satisfied.
+  bool Record(std::string_view line, int64_t line_offset) {
+    GrepMatch m;
+    m.line_offset = line_offset;
+    // Local line index within this run; converted to a global number after
+    // all runs are merged.
+    m.line_number = newlines_;
+    m.line = std::string(line);
+    m.before.assign(before_buf_.begin(), before_buf_.end());
+    matches_->push_back(std::move(m));
+    return options_.quiet_first_match;
+  }
+
+  const TextSearcher searcher_;  // skip table built once per grep run
   const GrepOptions& options_;
   std::vector<GrepMatch>* matches_;
   int64_t run_start_ = 0;
   int64_t next_offset_ = 0;
-  std::string pending_;
+  std::string pending_;  // the partial last line of the chunks fed so far
   int64_t pending_start_ = 0;
-  int64_t local_newlines_ = 0;  // newlines seen before the current line
-  int64_t run_newlines_ = 0;
+  int64_t newlines_ = 0;  // newlines in the run before the line being scanned
   std::deque<std::string> before_buf_;                    // last -B lines
   std::vector<std::pair<size_t, int>> after_pending_;     // match idx, lines left
 };
@@ -163,7 +188,7 @@ class RunScanner {
 
 Result<GrepResult> GrepApp::Run(SimKernel& kernel, Process& process, std::string_view path,
                                 std::string_view pattern, const GrepOptions& options) {
-  if (pattern.empty()) {
+  if (pattern.empty() || pattern.find('\n') != std::string_view::npos) {
     return Err::kInval;
   }
   if (options.kernel_program) {

@@ -10,6 +10,11 @@
 // Two modes are measured in the paper: a full pass over the file, and -q
 // (terminate on the first match found — with SLEDs that is the first match
 // in *pick* order, which is exactly where the dramatic speedups come from).
+//
+// Patterns are fixed strings matched within one line, so a pattern holding
+// '\n' can never match and is rejected with Err::kInval, like an empty one,
+// on every path (the kFindFirst program scans raw bytes and would otherwise
+// match across lines).
 #ifndef SLEDS_SRC_APPS_GREP_H_
 #define SLEDS_SRC_APPS_GREP_H_
 
@@ -66,8 +71,9 @@ class GrepApp {
                                 std::string_view pattern, const GrepOptions& options);
 };
 
-// Boyer-Moore-Horspool search over `haystack` (exposed for tests). Returns
-// match positions.
+// Every (possibly overlapping) match position of `needle` in `haystack`, by
+// the Boyer-Moore-Horspool searcher grep uses (TextSearcher). Exposed for
+// tests.
 std::vector<size_t> HorspoolSearchAll(std::string_view haystack, std::string_view needle);
 
 }  // namespace sled

@@ -1,17 +1,13 @@
 #include "src/apps/wc.h"
 
 #include <algorithm>
-#include <cctype>
-#include <map>
 #include <vector>
 
+#include "src/common/text_scan.h"
 #include "src/sleds/picker.h"
 
 namespace sled {
 namespace {
-
-bool IsSpace(char c) { return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\v' ||
-                              c == '\f'; }
 
 // Counts for one contiguous chunk, processed in isolation.
 struct ChunkCount {
@@ -24,26 +20,13 @@ struct ChunkCount {
 };
 
 ChunkCount CountChunk(int64_t offset, std::string_view data) {
-  ChunkCount c;
-  c.offset = offset;
-  c.length = static_cast<int64_t>(data.size());
-  bool in_word = false;
-  for (char ch : data) {
-    if (ch == '\n') {
-      ++c.lines;
-    }
-    if (IsSpace(ch)) {
-      in_word = false;
-    } else if (!in_word) {
-      in_word = true;
-      ++c.words;
-    }
-  }
-  if (!data.empty()) {
-    c.starts_in_word = !IsSpace(data.front());
-    c.ends_in_word = !IsSpace(data.back());
-  }
-  return c;
+  const TextCount count = CountText(data, /*in_word=*/false);
+  return ChunkCount{.offset = offset,
+                    .length = static_cast<int64_t>(data.size()),
+                    .lines = count.lines,
+                    .words = count.words,
+                    .starts_in_word = !data.empty() && !IsTextSpace(data.front()),
+                    .ends_in_word = count.in_word};
 }
 
 // Fetch [offset, offset+length) either by read() into `buf` or through the

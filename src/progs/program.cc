@@ -6,16 +6,12 @@
 #include <cstring>
 #include <limits>
 
+#include "src/common/text_scan.h"
+
 namespace sled {
 namespace {
 
 constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
-// wc's whitespace class, byte for byte (src/apps/wc.cc): the in-kernel
-// reduction must return the exact counters the userspace oracle returns.
-bool IsSpace(char c) {
-  return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\v' || c == '\f';
-}
 
 uint64_t GetBe(const char* in, int n) {
   uint64_t v = 0;
@@ -192,17 +188,10 @@ CompletionProgram::Action CompletionProgram::FindFirstChunk(int64_t offset,
 CompletionProgram::Action CompletionProgram::CountChunk(std::string_view data) {
   // Chunks arrive in file order (the kernel keeps kCount plans sequential),
   // so a single in_word_ carry reproduces wc's seam merge exactly.
-  for (char ch : data) {
-    if (ch == '\n') {
-      ++result_.lines;
-    }
-    if (IsSpace(ch)) {
-      in_word_ = false;
-    } else if (!in_word_) {
-      in_word_ = true;
-      ++result_.words;
-    }
-  }
+  const TextCount count = CountText(data, in_word_);
+  result_.lines += count.lines;
+  result_.words += count.words;
+  in_word_ = count.in_word;
   result_.bytes += static_cast<int64_t>(data.size());
   return Action{.kind = Action::Kind::kNext};
 }

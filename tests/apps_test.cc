@@ -3,6 +3,7 @@
 // *identical answers* to plain mode, only faster.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 
@@ -18,6 +19,8 @@
 
 namespace sled {
 namespace {
+
+using namespace std::string_view_literals;
 
 struct World {
   std::unique_ptr<SimKernel> kernel;
@@ -88,29 +91,42 @@ TEST(WcAppTest, MissingFile) {
   EXPECT_EQ(WcApp::Run(*w.kernel, *w.proc, "/nope", WcOptions{}).error(), Err::kNoEnt);
 }
 
-// Property: wc with and without SLEDs agree on random text, across chunk
+// Property: wc plain, with SLEDs, through mmap and as the kCount completion
+// program all agree with the naive counter on random bytes, across chunk
 // sizes that force words to span chunk seams, with a partially cached file.
+// Words include NUL, control bytes next to the whitespace range and bytes
+// >= 0x80; separators are runs of all six whitespace bytes. Chunk sizes 1, 3
+// and 1000 are not multiples of the count kernel's vector width.
 class WcPropertyTest : public ::testing::TestWithParam<std::tuple<int64_t, uint64_t>> {};
 
-TEST_P(WcPropertyTest, SledsAndPlainAgree) {
+TEST_P(WcPropertyTest, AllPathsMatchNaive) {
   const auto [buffer, seed] = GetParam();
   World w = MakeWorld();
   Rng rng(seed);
+  constexpr std::string_view kWordBytes = "abcxyz\0\x01\x08\x0e\x1f!~\x7f\x80\xa0\xff"sv;
+  constexpr std::string_view kSpaceBytes = " \t\n\v\f\r";
+  // Tiny buffers cost one syscall per few bytes; give them a smaller file.
+  const int64_t pages = buffer < 64 ? 12 : 64;
   std::string data;
-  const int64_t target = 64 * kPageSize + rng.Uniform(0, 8191);
+  const int64_t target = pages * kPageSize + rng.Uniform(0, 8191);
   while (static_cast<int64_t>(data.size()) < target) {
     const int64_t word = rng.Uniform(1, 12);
     for (int64_t i = 0; i < word; ++i) {
-      data.push_back(static_cast<char>('a' + rng.Uniform(0, 25)));
+      data.push_back(kWordBytes[static_cast<size_t>(
+          rng.Uniform(0, static_cast<int64_t>(kWordBytes.size()) - 1))]);
     }
-    data.push_back(rng.Bernoulli(0.2) ? '\n' : ' ');
+    const int64_t gap = rng.Bernoulli(0.2) ? rng.Uniform(2, 3) : 1;
+    for (int64_t i = 0; i < gap; ++i) {
+      data.push_back(kSpaceBytes[static_cast<size_t>(
+          rng.Uniform(0, static_cast<int64_t>(kSpaceBytes.size()) - 1))]);
+    }
   }
   WriteFile(*w.kernel, *w.proc, "/f.txt", data);
   w.kernel->DropCaches();
   // Partially cache a stripe so the SLEDs plan has multiple segments.
   const int fd = w.kernel->Open(*w.proc, "/f.txt").value();
   char b;
-  for (int64_t page = 30; page < 50; ++page) {
+  for (int64_t page = pages * 15 / 32; page < pages * 25 / 32; ++page) {
     ASSERT_TRUE(w.kernel->Lseek(*w.proc, fd, page * kPageSize, Whence::kSet).ok());
     ASSERT_TRUE(w.kernel->Read(*w.proc, fd, std::span<char>(&b, 1)).ok());
   }
@@ -120,13 +136,20 @@ TEST_P(WcPropertyTest, SledsAndPlainAgree) {
   plain.buffer_bytes = buffer;
   WcOptions sleds = plain;
   sleds.use_sleds = true;
+  WcOptions mmap = plain;
+  mmap.use_mmap = true;
+  WcOptions program = plain;
+  program.kernel_program = true;
   const WcResult expected = NaiveWc(data);
   EXPECT_EQ(WcApp::Run(*w.kernel, *w.proc, "/f.txt", plain).value(), expected);
   EXPECT_EQ(WcApp::Run(*w.kernel, *w.proc, "/f.txt", sleds).value(), expected);
+  EXPECT_EQ(WcApp::Run(*w.kernel, *w.proc, "/f.txt", mmap).value(), expected);
+  EXPECT_EQ(WcApp::Run(*w.kernel, *w.proc, "/f.txt", program).value(), expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, WcPropertyTest,
-                         ::testing::Combine(::testing::Values(1024, 4096, 65536, 100000),
+                         ::testing::Combine(::testing::Values(1, 3, 1000, 1024, 4096, 65536,
+                                                              100000),
                                             ::testing::Values(1u, 7u, 99u)));
 
 TEST(GrepAppTest, FindsAllMatchesInOrder) {
@@ -235,6 +258,147 @@ TEST(HorspoolTest, FindsAllOccurrences) {
   EXPECT_TRUE(HorspoolSearchAll("abc", "").empty());
   EXPECT_EQ(HorspoolSearchAll("xneedle", "needle"), (std::vector<size_t>{1}));
 }
+
+TEST(GrepAppTest, PatternWithNewlineIsRejected) {
+  World w = MakeWorld();
+  WriteFile(*w.kernel, *w.proc, "/f.txt", "one\ntwo\n");
+  GrepOptions plain;
+  EXPECT_EQ(GrepApp::Run(*w.kernel, *w.proc, "/f.txt", "one\ntwo", plain).error(), Err::kInval);
+  GrepOptions sleds;
+  sleds.use_sleds = true;
+  EXPECT_EQ(GrepApp::Run(*w.kernel, *w.proc, "/f.txt", "\n", sleds).error(), Err::kInval);
+  GrepOptions program;
+  program.quiet_first_match = true;
+  program.kernel_program = true;
+  EXPECT_EQ(GrepApp::Run(*w.kernel, *w.proc, "/f.txt", "one\ntwo", program).error(),
+            Err::kInval);
+}
+
+// Reference grep: split the file into lines and search each one on its own.
+GrepResult NaiveGrep(std::string_view data, std::string_view pattern,
+                     const GrepOptions& options) {
+  std::vector<std::pair<int64_t, std::string_view>> lines;  // offset, text
+  for (size_t start = 0; start < data.size();) {
+    const size_t end = std::min(data.find('\n', start), data.size());
+    lines.emplace_back(static_cast<int64_t>(start), data.substr(start, end - start));
+    start = end + 1;
+  }
+  GrepResult r;
+  for (size_t i = 0; i < lines.size(); ++i) {
+    if (lines[i].second.find(pattern) == std::string_view::npos) {
+      continue;
+    }
+    r.found = true;
+    if (options.quiet_first_match) {
+      return r;
+    }
+    GrepMatch m;
+    m.line_offset = lines[i].first;
+    m.line_number = options.line_numbers ? static_cast<int64_t>(i) + 1 : 0;
+    m.line = std::string(lines[i].second);
+    const size_t before = std::min(i, static_cast<size_t>(options.before_context));
+    for (size_t j = i - before; j < i; ++j) {
+      m.before.emplace_back(lines[j].second);
+    }
+    for (size_t j = i + 1; j < lines.size() && j <= i + static_cast<size_t>(options.after_context);
+         ++j) {
+      m.after.emplace_back(lines[j].second);
+    }
+    r.matches.push_back(std::move(m));
+  }
+  return r;
+}
+
+// Differential: grep in every mode against NaiveGrep on seeded random text
+// where the patterns hit often, across buffer sizes that put line and match
+// boundaries on chunk seams. Lines run from empty to longer than a 4 KiB
+// buffer, and the file may end without a newline.
+class GrepDifferentialTest : public ::testing::TestWithParam<std::tuple<int64_t, uint64_t>> {};
+
+TEST_P(GrepDifferentialTest, AllModesMatchNaive) {
+  const auto [buffer, seed] = GetParam();
+  World w = MakeWorld();
+  Rng rng(seed);
+  // Tiny buffers cost one syscall per few bytes; give them a smaller file.
+  const int64_t target = buffer < 64 ? 6 * kKiB : 80 * kKiB;
+  std::string data;
+  while (static_cast<int64_t>(data.size()) < target) {
+    const int64_t len = rng.Bernoulli(0.002) ? rng.Uniform(4200, 5000) : rng.Uniform(0, 90);
+    for (int64_t i = 0; i < len; ++i) {
+      data.push_back("aaabbc  "[rng.Uniform(0, 7)]);
+    }
+    data.push_back('\n');
+  }
+  if (rng.Bernoulli(0.5)) {
+    data += "ab abab";  // unterminated last line
+  }
+  WriteFile(*w.kernel, *w.proc, "/f.txt", data);
+  w.kernel->DropCaches();
+  // Cache a stripe so the SLEDs plan has several runs.
+  const int64_t pages = (static_cast<int64_t>(data.size()) + kPageSize - 1) / kPageSize;
+  const int fd = w.kernel->Open(*w.proc, "/f.txt").value();
+  char b;
+  for (int64_t page = pages / 3; page < pages * 2 / 3; ++page) {
+    ASSERT_TRUE(w.kernel->Lseek(*w.proc, fd, page * kPageSize, Whence::kSet).ok());
+    ASSERT_TRUE(w.kernel->Read(*w.proc, fd, std::span<char>(&b, 1)).ok());
+  }
+  ASSERT_TRUE(w.kernel->Close(*w.proc, fd).ok());
+
+  // Single letters, a self-overlapping pair, a pattern that repeats its own
+  // prefix, and a rare one.
+  for (const std::string_view pattern : {"a", "c", "aa", "abab", "cccc"}) {
+    SCOPED_TRACE(std::string("pattern ") + std::string(pattern));
+    for (const bool use_sleds : {false, true}) {
+      SCOPED_TRACE(use_sleds ? "sleds" : "plain");
+      GrepOptions base;
+      base.buffer_bytes = buffer;
+      base.use_sleds = use_sleds;
+      GrepOptions numbered = base;
+      numbered.line_numbers = true;
+      GrepOptions quiet = base;
+      quiet.quiet_first_match = true;
+      GrepOptions program = quiet;
+      program.kernel_program = true;
+      for (const GrepOptions& options : {base, numbered, quiet, program}) {
+        const GrepResult expected = NaiveGrep(data, pattern, options);
+        const GrepResult got = GrepApp::Run(*w.kernel, *w.proc, "/f.txt", pattern, options).value();
+        EXPECT_EQ(got.found, expected.found);
+        EXPECT_EQ(got.matches, expected.matches);
+      }
+
+      GrepOptions context = numbered;
+      context.before_context = 2;
+      context.after_context = 3;
+      const GrepResult expected = NaiveGrep(data, pattern, context);
+      const GrepResult got = GrepApp::Run(*w.kernel, *w.proc, "/f.txt", pattern, context).value();
+      EXPECT_EQ(got.found, expected.found);
+      if (!use_sleds) {
+        EXPECT_EQ(got.matches, expected.matches);
+        continue;
+      }
+      // SLEDs context stops at a SLED seam, so it can only lose the lines
+      // farthest from the match: before is a suffix and after a prefix of the
+      // full context.
+      ASSERT_EQ(got.matches.size(), expected.matches.size());
+      for (size_t i = 0; i < got.matches.size(); ++i) {
+        const GrepMatch& g = got.matches[i];
+        const GrepMatch& e = expected.matches[i];
+        EXPECT_EQ(g.line_offset, e.line_offset);
+        EXPECT_EQ(g.line_number, e.line_number);
+        EXPECT_EQ(g.line, e.line);
+        ASSERT_LE(g.before.size(), e.before.size());
+        EXPECT_TRUE(std::equal(g.before.begin(), g.before.end(),
+                               e.before.end() - static_cast<ptrdiff_t>(g.before.size())));
+        ASSERT_LE(g.after.size(), e.after.size());
+        EXPECT_TRUE(std::equal(g.after.begin(), g.after.end(), e.after.begin()));
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, GrepDifferentialTest,
+                         ::testing::Combine(::testing::Values(1, 7, 4096, 65536),
+                                            ::testing::Values(3u, 21u)));
 
 TEST(FindAppTest, WalksTreeAndFilters) {
   World w = MakeWorld();

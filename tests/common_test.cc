@@ -9,6 +9,7 @@
 #include "src/common/rng.h"
 #include "src/common/sim_time.h"
 #include "src/common/stats.h"
+#include "src/common/text_scan.h"
 #include "src/common/units.h"
 
 namespace sled {
@@ -258,6 +259,53 @@ TEST(AsciiPlotTest, SinglePointAndFlatSeries) {
   EXPECT_NE(plot.find('='), std::string::npos);
   PlotSeries dot{"dot", '.', {1}, {1}};
   EXPECT_NE(RenderPlot({dot}, PlotOptions{}).find('.'), std::string::npos);
+}
+
+// The count kernel against a byte-at-a-time state machine, split at every
+// offset (so both pieces cross the kernel's 64-byte blocks at every phase),
+// over all 256 byte values.
+TEST(TextScanTest, CountTextMatchesNaiveAtEverySplit) {
+  Rng rng(5);
+  std::string data;
+  for (int i = 0; i < 300; ++i) {
+    data.push_back(rng.Bernoulli(0.3) ? " \t\n\v\f\r"[rng.Uniform(0, 5)]
+                                      : static_cast<char>(rng.Uniform(0, 255)));
+  }
+  int64_t lines = 0;
+  int64_t words = 0;
+  bool in_word = false;
+  for (char c : data) {
+    const bool space = c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r';
+    EXPECT_EQ(IsTextSpace(c), space);
+    lines += c == '\n';
+    words += !space && !in_word;
+    in_word = !space;
+  }
+  const std::string_view all(data);
+  for (size_t k = 0; k <= all.size(); ++k) {
+    const TextCount head = CountText(all.substr(0, k), false);
+    const TextCount tail = CountText(all.substr(k), head.in_word);
+    EXPECT_EQ(head.lines + tail.lines, lines) << k;
+    EXPECT_EQ(head.words + tail.words, words) << k;
+    EXPECT_EQ(tail.in_word, in_word) << k;
+    EXPECT_EQ(CountNewlines(all.substr(k)), tail.lines) << k;
+  }
+}
+
+TEST(TextScanTest, SearcherMatchesStringFind) {
+  Rng rng(8);
+  std::string hay;
+  for (int i = 0; i < 2000; ++i) {
+    hay.push_back("aab\n"[rng.Uniform(0, 3)]);
+  }
+  for (const std::string_view needle : {"a", "ab", "aab", "abaab", "bbbbbbbb", "", "\nab"}) {
+    const TextSearcher searcher(needle);
+    for (size_t from = 0; from <= hay.size() + 1; ++from) {
+      const size_t want = needle.empty() ? std::string_view::npos
+                                         : std::string_view(hay).find(needle, from);
+      ASSERT_EQ(searcher.Find(hay, from), want) << needle << " from " << from;
+    }
+  }
 }
 
 }  // namespace
