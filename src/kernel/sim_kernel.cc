@@ -25,6 +25,27 @@ InodeNum InoOfFid(FileId fid) { return static_cast<InodeNum>(fid & kInoMask); }
 // like an NFS hard-mount interruption. Everything else passes through.
 Err ToSyscallErr(Err e) { return e == Err::kUnavailable ? Err::kTimedOut : e; }
 
+// A maximal stretch of consecutive dirty pages of one file: one write request.
+struct DirtyRun {
+  FileId file = 0;
+  int64_t first = 0;
+  int64_t count = 0;
+};
+
+// Group (file, page)-ordered keys into maximal contiguous runs.
+std::vector<DirtyRun> ContiguousRuns(const std::vector<PageKey>& keys) {
+  std::vector<DirtyRun> runs;
+  for (const PageKey& key : keys) {
+    if (!runs.empty() && runs.back().file == key.file &&
+        key.page == runs.back().first + runs.back().count) {
+      ++runs.back().count;
+    } else {
+      runs.push_back({key.file, key.page, 1});
+    }
+  }
+  return runs;
+}
+
 IoMode ResolveIoMode(IoMode mode) {
   if (mode != IoMode::kFromEnv) {
     return mode;
@@ -80,8 +101,7 @@ Result<uint32_t> SimKernel::Mount(std::string path, std::unique_ptr<FileSystem> 
   if (engine_on()) {
     DeviceQueueConfig qc;
     qc.policy = io_mode_ == IoMode::kElevator ? IoPolicy::kClook : IoPolicy::kFifo;
-    qc.coalesce = io_mode_ == IoMode::kElevator && config_.io.coalesce;
-    qc.max_merge_pages = config_.io.max_merge_pages;
+    qc.coalesce = io_mode_ == IoMode::kElevator;
     StorageDevice* primary = raw->PrimaryDevice();
     std::string qname = primary != nullptr ? std::string(primary->name()) : raw->name();
     scheduler_.AttachQueue(
@@ -328,13 +348,16 @@ Result<void> SimKernel::Close(Process& p, int fd) {
   return Result<void>::Ok();
 }
 
-Result<void> SimKernel::PageIn(Process& p, const OpenFile& of, int64_t first_page, int64_t count,
-                               int64_t demand_pages) {
+Result<int64_t> SimKernel::PageIn(Process& p, const OpenFile& of, int64_t page, int64_t run,
+                                  int64_t demand) {
+  if (engine_on()) {
+    return EnginePageIn(p, of, page, run, demand);
+  }
   FileSystem* fs = FsOf(of);
   // Attribute the transfer to the level holding the data *before* the read —
   // an HSM recall, for example, re-stages the file as a side effect.
   int level = -1;
-  if (auto global = sleds_table_.GlobalLevelOf(of.fs_id, fs->LevelOf(of.ino, first_page));
+  if (auto global = sleds_table_.GlobalLevelOf(of.fs_id, fs->LevelOf(of.ino, page));
       global.ok()) {
     level = global.value();
   }
@@ -343,23 +366,22 @@ Result<void> SimKernel::PageIn(Process& p, const OpenFile& of, int64_t first_pag
   // all retries then costs the same simulated time in every I/O mode.
   ChargeCpu(p, config_.costs.fault_overhead);
   SLED_ASSIGN_OR_RETURN(Duration t,
-                        StoreTransfer(p.pid(), of.fid, fs, of.ino, first_page, count,
-                                      /*write=*/false));
+                        StoreTransfer(p.pid(), of.fid, fs, of.ino, page, run, /*write=*/false));
   ChargeIo(p, t);
-  p.stats().major_faults += count;
-  stats_.pages_paged_in += count;
-  stats_.readahead_pages += count - demand_pages;
-  obs_.PageIn(p.pid(), of.fid, first_page, count, level, t);
-  if (count > demand_pages) {
-    obs_.Readahead(p.pid(), of.fid, first_page + demand_pages, count - demand_pages);
+  p.stats().major_faults += run;
+  stats_.pages_paged_in += run;
+  stats_.readahead_pages += run - demand;
+  obs_.PageIn(p.pid(), of.fid, page, run, level, t);
+  if (run > demand) {
+    obs_.Readahead(p.pid(), of.fid, page + demand, run - demand);
   }
-  for (int64_t q = first_page; q < first_page + count; ++q) {
+  for (int64_t q = page; q < page + run; ++q) {
     auto evicted = cache_.Insert({of.fid, q}, /*dirty=*/false);
     if (evicted.has_value() && evicted->dirty) {
       QueueWriteback(&p, evicted->key);
     }
   }
-  return Result<void>::Ok();
+  return run;
 }
 
 int64_t SimKernel::SubmitRead(int pid, const OpenFile& of, int64_t first, int64_t count) {
@@ -528,6 +550,34 @@ int64_t SimKernel::PlanReadaheadRun(OpenFile& of, int64_t page, int64_t file_pag
   return std::max<int64_t>(run, 1);
 }
 
+template <typename PageCost>
+Result<void> SimKernel::FaultIn(Process& p, OpenFile& of, int64_t offset, int64_t length,
+                                int64_t size, PageCost page_cost) {
+  if (length <= 0) {
+    return Result<void>::Ok();
+  }
+  const int64_t file_pages = PagesFor(size);
+  const int64_t first = offset / kPageSize;
+  const int64_t last = (offset + length - 1) / kPageSize;
+  for (int64_t page = first; page <= last; ++page) {
+    const PageKey key{of.fid, page};
+    if (engine_on() && inflight_.contains(key)) {
+      AwaitPage(p, key);  // readahead in flight for this page: block until it lands
+    }
+    if (cache_.Touch(key)) {
+      ++p.stats().minor_faults;
+    } else {
+      // Demand miss: page in the readahead-planned run starting here.
+      const int64_t run = PlanReadaheadRun(of, page, file_pages);
+      const int64_t demand = std::min<int64_t>(run, last - page + 1);
+      SLED_ASSIGN_OR_RETURN(const int64_t eff, PageIn(p, of, page, run, demand));
+      of.last_demand_page = page + eff;  // next sequential miss lands here
+    }
+    ChargeCpu(p, page_cost(page));
+  }
+  return Result<void>::Ok();
+}
+
 Result<int64_t> SimKernel::Read(Process& p, int fd, std::span<char> dst) {
   SyscallScope sys(*this, p, "read");
   SLED_ASSIGN_OR_RETURN(OpenFile * of, FdOf(p, fd));
@@ -542,36 +592,17 @@ Result<int64_t> SimKernel::Read(Process& p, int fd, std::span<char> dst) {
   SLED_CHECK(copied == n, "short content read: %lld != %lld", static_cast<long long>(copied),
              static_cast<long long>(n));
 
-  const int64_t file_pages = PagesFor(size);
-  const int64_t first = of->offset / kPageSize;
-  const int64_t last = (of->offset + n - 1) / kPageSize;
-  const int64_t read_end = of->offset + n;
+  const int64_t read_lo = of->offset;
+  const int64_t read_end = read_lo + n;
   const Duration mem_latency = SecondsF(config_.memory.latency.ToSeconds());
   const double mem_bw = config_.memory.bandwidth_bps;
-  for (int64_t page = first; page <= last; ++page) {
-    const PageKey key{of->fid, page};
-    if (engine_on() && inflight_.contains(key)) {
-      AwaitPage(p, key);  // readahead in flight for this page: block until it lands
-    }
-    if (!cache_.Touch(key)) {
-      // Demand miss: page in the readahead-planned run starting here.
-      const int64_t run = PlanReadaheadRun(*of, page, file_pages);
-      const int64_t demand = std::min<int64_t>(run, last - page + 1);
-      if (engine_on()) {
-        SLED_ASSIGN_OR_RETURN(const int64_t eff, EnginePageIn(p, *of, page, run, demand));
-        of->last_demand_page = page + eff;
-      } else {
-        SLED_RETURN_IF_ERROR(PageIn(p, *of, page, run, demand));
-        of->last_demand_page = page + run;  // next sequential miss lands here
-      }
-    } else {
-      ++p.stats().minor_faults;
-    }
-    // Copy the consumed bytes of this page to user space.
-    const int64_t page_lo = std::max(of->offset, page * kPageSize);
+  // Copy the consumed bytes of each page to user space.
+  auto copy_cost = [&](int64_t page) {
+    const int64_t page_lo = std::max(read_lo, page * kPageSize);
     const int64_t page_hi = std::min(read_end, (page + 1) * kPageSize);
-    ChargeCpu(p, mem_latency + TransferTime(page_hi - page_lo, mem_bw));
-  }
+    return mem_latency + TransferTime(page_hi - page_lo, mem_bw);
+  };
+  SLED_RETURN_IF_ERROR(FaultIn(p, *of, read_lo, n, size, copy_cost));
   of->offset += n;
   p.stats().bytes_read += n;
   return n;
@@ -590,65 +621,11 @@ Result<std::string_view> SimKernel::MmapRead(Process& p, int fd, int64_t offset,
     return std::string_view();
   }
   const int64_t n = std::min(length, size - offset);
-  const int64_t file_pages = PagesFor(size);
-  const int64_t first = offset / kPageSize;
-  const int64_t last = (offset + n - 1) / kPageSize;
-  for (int64_t page = first; page <= last; ++page) {
-    const PageKey key{of->fid, page};
-    if (engine_on() && inflight_.contains(key)) {
-      AwaitPage(p, key);
-    }
-    if (!cache_.Touch(key)) {
-      // Demand miss: identical readahead planning to Read().
-      const int64_t run = PlanReadaheadRun(*of, page, file_pages);
-      const int64_t demand = std::min<int64_t>(run, last - page + 1);
-      if (engine_on()) {
-        SLED_ASSIGN_OR_RETURN(const int64_t eff, EnginePageIn(p, *of, page, run, demand));
-        of->last_demand_page = page + eff;
-      } else {
-        SLED_RETURN_IF_ERROR(PageIn(p, *of, page, run, demand));
-        of->last_demand_page = page + run;
-      }
-    } else {
-      ++p.stats().minor_faults;
-    }
-    ChargeCpu(p, config_.costs.mmap_touch_per_page);
-  }
+  const Duration touch = config_.costs.mmap_touch_per_page;
+  SLED_RETURN_IF_ERROR(FaultIn(p, *of, offset, n, size, [touch](int64_t) { return touch; }));
   p.stats().bytes_read += n;
   SLED_ASSIGN_OR_RETURN(std::string_view content, fs->ContentView(of->ino));
   return content.substr(static_cast<size_t>(offset), static_cast<size_t>(n));
-}
-
-Result<void> SimKernel::ProgFaultSpan(Process& p, OpenFile& of, int64_t offset, int64_t length,
-                                      int64_t size) {
-  if (length <= 0) {
-    return Result<void>::Ok();
-  }
-  const int64_t file_pages = PagesFor(size);
-  const int64_t first = offset / kPageSize;
-  const int64_t last = (offset + length - 1) / kPageSize;
-  for (int64_t page = first; page <= last; ++page) {
-    const PageKey key{of.fid, page};
-    if (engine_on() && inflight_.contains(key)) {
-      AwaitPage(p, key);
-    }
-    if (!cache_.Touch(key)) {
-      // Demand miss: identical readahead planning to Read()/MmapRead().
-      const int64_t run = PlanReadaheadRun(of, page, file_pages);
-      const int64_t demand = std::min<int64_t>(run, last - page + 1);
-      if (engine_on()) {
-        SLED_ASSIGN_OR_RETURN(const int64_t eff, EnginePageIn(p, of, page, run, demand));
-        of.last_demand_page = page + eff;
-      } else {
-        SLED_RETURN_IF_ERROR(PageIn(p, of, page, run, demand));
-        of.last_demand_page = page + run;
-      }
-    } else {
-      ++p.stats().minor_faults;
-    }
-    ChargeCpu(p, config_.costs.prog_touch_per_page);
-  }
-  return Result<void>::Ok();
 }
 
 Result<int64_t> SimKernel::InstallProgram(Process& p, int fd, const ProgSpec& spec) {
@@ -682,8 +659,9 @@ Result<ProgResult> SimKernel::RunProgram(Process& p, int fd) {
   // Read would), then run the program over the bytes in place. The program
   // body is priced per invocation plus its app-declared per-byte compute;
   // there is no crossing and no user copy — that is the entire win.
+  const Duration touch = config_.costs.prog_touch_per_page;
   auto run_chunk = [&](int64_t off, int64_t len) -> Result<CompletionProgram::Action> {
-    SLED_RETURN_IF_ERROR(ProgFaultSpan(p, *of, off, len, size));
+    SLED_RETURN_IF_ERROR(FaultIn(p, *of, off, len, size, [touch](int64_t) { return touch; }));
     SLED_ASSIGN_OR_RETURN(std::string_view content, fs->ContentView(of->ino));
     const std::string_view data =
         content.substr(static_cast<size_t>(off), static_cast<size_t>(len));
@@ -784,11 +762,7 @@ Result<int64_t> SimKernel::Write(Process& p, int fd, std::span<const char> src) 
     PageCache::Frame* frame = cache_.Probe(key);
     if (frame == nullptr && !full_cover && !beyond_old_eof) {
       // Read-modify-write of a non-resident partial page.
-      if (engine_on()) {
-        SLED_RETURN_IF_ERROR(EnginePageIn(p, *of, page, 1, 1));
-      } else {
-        SLED_RETURN_IF_ERROR(PageIn(p, *of, page, 1, 1));
-      }
+      SLED_RETURN_IF_ERROR(PageIn(p, *of, page, 1, 1));
       frame = cache_.Probe(key);  // the page-in made it resident
     }
     if (frame != nullptr) {
@@ -887,21 +861,15 @@ Result<void> SimKernel::Fsync(Process& p, int fd) {
   SLED_ASSIGN_OR_RETURN(OpenFile * of, FdOf(p, fd));
   FileSystem* fs = FsOf(*of);
   const std::vector<PageKey> dirty = cache_.DirtyPagesOf(of->fid);
+  const std::vector<DirtyRun> runs = ContiguousRuns(dirty);
   if (engine_on()) {
     // Submit each contiguous dirty run as one write request, force the queue
     // to service them all, and sleep the process to the last completion.
     std::unordered_map<int64_t, WriteDone> done;
     write_done_sink_ = &done;
     std::vector<int64_t> ids;
-    size_t i = 0;
-    while (i < dirty.size()) {
-      size_t j = i + 1;
-      while (j < dirty.size() && dirty[j].page == dirty[j - 1].page + 1) {
-        ++j;
-      }
-      ids.push_back(SubmitWrite(p.pid(), of->fid, dirty[i].page,
-                                static_cast<int64_t>(j - i)));
-      i = j;
+    for (const DirtyRun& r : runs) {
+      ids.push_back(SubmitWrite(p.pid(), of->fid, r.first, r.count));
     }
     for (const PageKey& key : dirty) {
       cache_.MarkClean(key);
@@ -955,28 +923,16 @@ Result<void> SimKernel::Fsync(Process& p, int fd) {
     }
     return Result<void>::Ok();
   }
-  // Collect the dirty runs first, then flush; a page is marked clean only
-  // after its run reaches the store, so a failed flush leaves its pages (and
-  // every later run's) dirty for a retry and the caller sees the error.
-  struct Run {
-    int64_t first = 0;
-    int64_t len = 0;
-  };
-  std::vector<Run> runs;
-  for (const PageKey& key : dirty) {
-    if (!runs.empty() && key.page == runs.back().first + runs.back().len) {
-      ++runs.back().len;
-    } else {
-      runs.push_back({key.page, 1});
-    }
-  }
-  for (const Run& r : runs) {
+  // Flush run by run; a page is marked clean only after its run reaches the
+  // store, so a failed flush leaves its pages (and every later run's) dirty
+  // for a retry and the caller sees the error.
+  for (const DirtyRun& r : runs) {
     SLED_ASSIGN_OR_RETURN(Duration t,
-                          StoreTransfer(p.pid(), of->fid, fs, of->ino, r.first, r.len,
+                          StoreTransfer(p.pid(), of->fid, fs, of->ino, r.first, r.count,
                                         /*write=*/true));
     ChargeIo(p, t);
-    stats_.pages_written_back += r.len;
-    for (int64_t q = r.first; q < r.first + r.len; ++q) {
+    stats_.pages_written_back += r.count;
+    for (int64_t q = r.first; q < r.first + r.count; ++q) {
       cache_.MarkClean({of->fid, q});
     }
   }
@@ -1316,18 +1272,11 @@ Duration SimKernel::FlushAllDirty() {
     // drain the clock sits at (or past) every completion, so a harvest clears
     // all in-flight state and DropCaches can safely clear the cache.
     const std::vector<PageKey> dirty = cache_.AllDirtyPages();
-    size_t i = 0;
-    while (i < dirty.size()) {
-      size_t j = i + 1;
-      while (j < dirty.size() && dirty[j].file == dirty[i].file &&
-             dirty[j].page == dirty[j - 1].page + 1) {
-        ++j;
-      }
+    for (const DirtyRun& r : ContiguousRuns(dirty)) {
       // Not an error swallow: SubmitWrite returns the request id (0 when the
       // file system is gone); completion — including failure resubmits — is
       // handled by CompleteIo during the drain below.
-      (void)SubmitWrite(0, dirty[i].file, dirty[i].page, static_cast<int64_t>(j - i));
-      i = j;
+      (void)SubmitWrite(0, r.file, r.first, r.count);
     }
     for (const PageKey& key : dirty) {
       cache_.MarkClean(key);

@@ -61,10 +61,6 @@ enum class IoMode { kFromEnv, kFifoSync, kFifoAsync, kElevator };
 
 struct IoEngineConfig {
   IoMode mode = IoMode::kFromEnv;
-  // Merge adjacent pending requests into one device access (elevator mode).
-  bool coalesce = true;
-  // Upper bound on one merged dispatch, in pages.
-  int64_t max_merge_pages = 256;
 };
 
 // Kernel-level fault tolerance. Device faults are fail-fast (zero device
@@ -259,18 +255,22 @@ class SimKernel {
   void ChargeCpu(Process& p, Duration d);
   void ChargeIo(Process& p, Duration d);
 
-  // Fetch pages [first, first+count) of the file into the cache, charging
-  // device time and fault accounting to `p`. Evicted dirty pages spill to
-  // the writeback queue (possibly flushing synchronously, charged to `p`).
-  Result<void> PageIn(Process& p, const OpenFile& of, int64_t first_page, int64_t count,
-                      int64_t demand_pages);
+  // The one page-in entry for every I/O mode: fetch the run [page,
+  // page+run), of which the first `demand` pages were asked for, charging
+  // device time and fault accounting to `p`. kFifoSync reads the whole run
+  // synchronously (evicted dirty pages spill to the writeback queue, possibly
+  // flushing synchronously, charged to `p`); the engine modes forward to
+  // EnginePageIn. Returns the run length actually requested from `page` (the
+  // caller's readahead bookmark).
+  Result<int64_t> PageIn(Process& p, const OpenFile& of, int64_t page, int64_t run,
+                         int64_t demand);
 
   // ---- event-driven I/O engine (async modes only) ----
   bool engine_on() const { return io_mode_ != IoMode::kFifoSync; }
-  // Engine counterpart of PageIn: submits the demand pages (in cache-bounded
+  // PageIn in the engine modes: submits the demand pages (in cache-bounded
   // chunks, waiting for each), then the readahead tail as an asynchronous
   // request trimmed to the in-flight budget. Returns the effective run length
-  // actually requested starting at `page` (the caller's readahead bookmark).
+  // actually requested starting at `page`.
   Result<int64_t> EnginePageIn(Process& p, const OpenFile& of, int64_t page, int64_t run,
                                int64_t demand);
   // Completion callback for every dispatched request part: records write
@@ -295,16 +295,17 @@ class SimKernel {
 
   // Demand miss on `page`: grow (sequential) or reset (random) the
   // descriptor's readahead window, then return the length of the run of
-  // non-resident pages to fetch starting at `page`. Shared by Read and
-  // MmapRead so the two paths cannot drift.
+  // non-resident pages to fetch starting at `page`.
   int64_t PlanReadaheadRun(OpenFile& of, int64_t page, int64_t file_pages);
 
-  // Fault pages of [offset, offset+length) into the cache for a completion
-  // program: the same demand/readahead/engine logic as Read and MmapRead
-  // (kept in their exact shape so the three paths cannot drift), but charges
-  // prog_touch_per_page instead of a user-space copy.
-  Result<void> ProgFaultSpan(Process& p, OpenFile& of, int64_t offset, int64_t length,
-                             int64_t size);
+  // Demand paging for the pages of [offset, offset+length) of a file of
+  // `size` bytes: the one loop behind Read, MmapRead and completion programs.
+  // Per page it waits out a read already in flight, counts a minor fault on a
+  // hit or pages in the readahead-planned run on a miss, then charges
+  // page_cost(page) of CPU — the caller's user copy or in-place touch.
+  template <typename PageCost>
+  Result<void> FaultIn(Process& p, OpenFile& of, int64_t offset, int64_t length, int64_t size,
+                       PageCost page_cost);
 
   // Shared FSLEDS_GET body: charge the scan, build the SLED vector for pages
   // [first_page, end_page) of the file, and record the scan event.

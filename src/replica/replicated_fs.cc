@@ -237,31 +237,37 @@ Result<Duration> ReplicatedFs::WriteRun(InodeNum ino, int64_t first_page, int64_
   const int n = num_replicas();
   Duration slowest;
   int acks = 0;
-  int placed = 0;
+  std::vector<int> missed;
   Err last = Err::kIo;
   for (int k = 0; k < replication_factor_; ++k) {
     const int r = static_cast<int>((stripe + k) % n);
-    ++placed;
     SLED_ASSIGN_OR_RETURN(const int64_t addr, ReplicaAddressOf(r, ino, first_page));
     auto res = devices_[static_cast<size_t>(r)]->Write(addr, nbytes);
     if (res.ok()) {
       ++acks;
       slowest = std::max(slowest, res.value());
-      continue;
+    } else {
+      last = res.error();
+      missed.push_back(r);
     }
-    // This copy missed the write: the whole stripe is stale on r until
-    // background recovery re-syncs it.
-    last = res.error();
-    ++rstats_.failed_writes;
-    MarkStale(r, ino, stripe);
-    if (observer() != nullptr) {
-      observer()->ReplicaStale(name(), r, nbytes);
+  }
+  // A copy that missed the write is behind only if another copy has it: then
+  // the whole stripe is stale on the missed replicas until background
+  // recovery re-syncs it. When no copy acked, nothing diverged — the run just
+  // fails and the kernel's writeback retry owns it.
+  if (acks > 0) {
+    for (const int r : missed) {
+      ++rstats_.failed_writes;
+      MarkStale(r, ino, stripe);
+      if (observer() != nullptr) {
+        observer()->ReplicaStale(name(), r, nbytes);
+      }
     }
   }
   if (acks < replication_min_) {
     return last;  // too few copies committed — the write itself fails
   }
-  if (acks < placed) {
+  if (!missed.empty()) {
     ++rstats_.degraded_writes;
   }
   // Primary-copy commit: the caller waits for every (surviving) ack, so the

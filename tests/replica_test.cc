@@ -287,6 +287,40 @@ TEST(ReplicaFaultTest, WriteFailsWhenAcksFallBelowMinimum) {
   EXPECT_GT(w.kernel->stats().writeback_retries + w.kernel->stats().writeback_lost, 0);
 }
 
+// A write that no placed copy acks leaves nothing stale: no copy holds the
+// new data, so no copy is behind. The run just fails, the kernel's writeback
+// retry lands it, and the stripe stays readable — with two copies per stripe
+// and with one (plain striping), where a stale mark could never be repaired
+// because maintenance has no clean source to copy from.
+TEST(ReplicaFaultTest, WriteMissedByEveryCopyLeavesNoStaleStripe) {
+  for (const int rf : {1, 2}) {
+    SCOPED_TRACE(rf);
+    ReplicatedFsConfig rc;
+    rc.stripe_pages = 8;
+    rc.replication_factor = rf;
+    World w = MakeWorld(IdenticalDisks(2, 29), rc);
+
+    const int64_t size = 16 * kPageSize;
+    WriteFile(w, "/data", size);
+    // Each device fails its next three writes: the first attempt and both
+    // immediate kernel retries of the first run it sees.
+    for (int r = 0; r < 2; ++r) {
+      auto plan = std::make_shared<FaultPlan>(FaultPlanConfig{});
+      plan->AttachClock(&w.kernel->clock());
+      plan->FailNextWrites(3);
+      w.fs->replica(r).InjectFaults(plan);
+    }
+    w.kernel->FlushAllDirty();
+    EXPECT_GT(w.kernel->stats().writeback_retries, 0);
+    EXPECT_EQ(w.kernel->stats().writeback_lost, 0);
+    EXPECT_EQ(w.fs->stale_stripes(), 0);
+    EXPECT_EQ(w.fs->rstats().failed_writes, 0);
+
+    w.kernel->DropCaches();
+    EXPECT_EQ(ReadAll(w, "/data"), size);
+  }
+}
+
 // Hedged reads: with a deadline the straggler always misses (factor 0), the
 // second-ranked replica is issued the same read; accounting and the
 // min(straggler, deadline + hedge) charge are exercised end to end.

@@ -12,8 +12,8 @@
 #include "src/device/disk_device.h"
 #include "src/device/ssd_device.h"
 #include "src/fs/extent_file_system.h"
-#include "src/fs/tiered_fs.h"
 #include "src/kernel/sim_kernel.h"
+#include "src/replica/replicated_fs.h"
 #include "src/sleds/picker.h"
 
 namespace sled {
@@ -247,62 +247,73 @@ TEST(SledQuantileTest, ScalarCalibrationPreservesTailShape) {
 
 // ---- tiered SSD/HDD layout and rank_by ----
 
+// The tiered layout is ReplicatedFs with one copy per stripe over {fast,
+// slow}: stripe s lives on tier s % 2.
+constexpr int64_t kStripePages = ReplicatedFsConfig{}.stripe_pages;
+
+std::unique_ptr<ReplicatedFs> MakeTieredLayout(std::unique_ptr<StorageDevice> fast,
+                                               std::unique_ptr<StorageDevice> slow) {
+  std::vector<std::unique_ptr<StorageDevice>> tiers;
+  tiers.push_back(std::move(fast));
+  tiers.push_back(std::move(slow));
+  ReplicatedFsConfig rc;
+  rc.replication_factor = 1;
+  return std::make_unique<ReplicatedFs>("tiered", std::move(tiers), rc);
+}
+
 struct TieredWorld {
   std::unique_ptr<SimKernel> kernel;
   Process* proc = nullptr;
-  TieredFs* fs = nullptr;
+  ReplicatedFs* fs = nullptr;
 };
 
 TieredWorld MakeTieredWorld() {
   TieredWorld w;
   w.kernel = std::make_unique<SimKernel>(SmallKernelConfig());
-  auto fs = std::make_unique<TieredFs>("tiered", std::make_unique<SsdDevice>(SsdDeviceConfig{}),
-                                       std::make_unique<DiskDevice>(DiskDeviceConfig{}));
+  auto fs = MakeTieredLayout(std::make_unique<SsdDevice>(SsdDeviceConfig{}),
+                             std::make_unique<DiskDevice>(DiskDeviceConfig{}));
   w.fs = fs.get();
   EXPECT_TRUE(w.kernel->Mount("/", std::move(fs)).ok());
   w.proc = &w.kernel->CreateProcess("test");
   return w;
 }
 
-TEST(TieredFsTest, PagesStripeAcrossTiers) {
+TEST(TieredStripingTest, PagesStripeAcrossTiers) {
   TieredWorld w = MakeTieredWorld();
-  const TieredFsConfig config;
   EXPECT_EQ(w.fs->LevelOf(0, 0), 0);
-  EXPECT_EQ(w.fs->LevelOf(0, config.stripe_pages - 1), 0);
-  EXPECT_EQ(w.fs->LevelOf(0, config.stripe_pages), 1);
-  EXPECT_EQ(w.fs->LevelOf(0, 2 * config.stripe_pages), 0);
-  EXPECT_EQ(w.fs->LevelRunLen(0, 0, 1000), config.stripe_pages);
-  EXPECT_EQ(w.fs->LevelRunLen(0, config.stripe_pages - 1, 1000), 1);
+  EXPECT_EQ(w.fs->LevelOf(0, kStripePages - 1), 0);
+  EXPECT_EQ(w.fs->LevelOf(0, kStripePages), 1);
+  EXPECT_EQ(w.fs->LevelOf(0, 2 * kStripePages), 0);
+  EXPECT_EQ(w.fs->LevelRunLen(0, 0, 1000), kStripePages);
+  EXPECT_EQ(w.fs->LevelRunLen(0, kStripePages - 1, 1000), 1);
   EXPECT_EQ(w.fs->Levels().size(), 2u);
   EXPECT_EQ(w.fs->DeviceAddressOf(0, 0), -1);
   EXPECT_EQ(w.fs->PrimaryDevice(), nullptr);
 }
 
-TEST(TieredFsTest, ReadWriteRoundTripChargesBothDevices) {
+TEST(TieredStripingTest, ReadWriteRoundTripChargesBothDevices) {
   TieredWorld w = MakeTieredWorld();
   const int fd = w.kernel->Create(*w.proc, "/f").value();
   // Two full stripes: half the pages on each tier.
-  const TieredFsConfig config;
-  const int64_t size = 2 * config.stripe_pages * kPageSize;
+  const int64_t size = 2 * kStripePages * kPageSize;
   const std::string data(static_cast<size_t>(size), 'y');
   ASSERT_TRUE(w.kernel->Write(*w.proc, fd, std::span<const char>(data.data(), data.size())).ok());
   w.kernel->FlushAllDirty();
-  EXPECT_GT(w.fs->tier(0).stats().bytes_written, 0);
-  EXPECT_GT(w.fs->tier(1).stats().bytes_written, 0);
+  EXPECT_GT(w.fs->replica(0).stats().bytes_written, 0);
+  EXPECT_GT(w.fs->replica(1).stats().bytes_written, 0);
   w.kernel->DropCaches();
   ASSERT_TRUE(w.kernel->Lseek(*w.proc, fd, 0, Whence::kSet).ok());
   std::vector<char> buf(static_cast<size_t>(size));
   ASSERT_EQ(w.kernel->Read(*w.proc, fd, std::span<char>(buf.data(), buf.size())).value(), size);
   EXPECT_EQ(std::string(buf.begin(), buf.end()), data);
-  EXPECT_GT(w.fs->tier(0).stats().bytes_read, 0);
-  EXPECT_GT(w.fs->tier(1).stats().bytes_read, 0);
+  EXPECT_GT(w.fs->replica(0).stats().bytes_read, 0);
+  EXPECT_GT(w.fs->replica(1).stats().bytes_read, 0);
 }
 
-TEST(TieredFsTest, ShrinkToNonzeroKeepsRegionsAcrossRegrow) {
+TEST(TieredStripingTest, ShrinkToNonzeroKeepsRegionsAcrossRegrow) {
   TieredWorld w = MakeTieredWorld();
   const int fd = w.kernel->Create(*w.proc, "/f").value();
-  const TieredFsConfig config;
-  const int64_t size = 2 * config.stripe_pages * kPageSize;
+  const int64_t size = 2 * kStripePages * kPageSize;
   const std::string data(static_cast<size_t>(size), 'z');
   ASSERT_TRUE(w.kernel->Write(*w.proc, fd, std::span<const char>(data.data(), data.size())).ok());
   w.kernel->FlushAllDirty();
@@ -310,9 +321,9 @@ TEST(TieredFsTest, ShrinkToNonzeroKeepsRegionsAcrossRegrow) {
   // Shrink to a nonzero size: the regions are kept (bump allocator), so
   // regrowing back within the original span must not allocate anything new —
   // the rewritten tail lands on the same device addresses and round-trips.
-  ASSERT_TRUE(w.kernel->Ftruncate(*w.proc, fd, config.stripe_pages * kPageSize / 2).ok());
-  ASSERT_TRUE(w.kernel->Lseek(*w.proc, fd, config.stripe_pages * kPageSize / 2, Whence::kSet).ok());
-  const std::string tail(static_cast<size_t>(size - config.stripe_pages * kPageSize / 2), 'w');
+  ASSERT_TRUE(w.kernel->Ftruncate(*w.proc, fd, kStripePages * kPageSize / 2).ok());
+  ASSERT_TRUE(w.kernel->Lseek(*w.proc, fd, kStripePages * kPageSize / 2, Whence::kSet).ok());
+  const std::string tail(static_cast<size_t>(size - kStripePages * kPageSize / 2), 'w');
   ASSERT_TRUE(
       w.kernel->Write(*w.proc, fd, std::span<const char>(tail.data(), tail.size())).ok());
   w.kernel->FlushAllDirty();
@@ -321,40 +332,40 @@ TEST(TieredFsTest, ShrinkToNonzeroKeepsRegionsAcrossRegrow) {
   ASSERT_TRUE(w.kernel->Lseek(*w.proc, fd, 0, Whence::kSet).ok());
   std::vector<char> buf(static_cast<size_t>(size));
   ASSERT_EQ(w.kernel->Read(*w.proc, fd, std::span<char>(buf.data(), buf.size())).value(), size);
-  EXPECT_TRUE(std::all_of(buf.begin(), buf.begin() + config.stripe_pages * kPageSize / 2,
+  EXPECT_TRUE(std::all_of(buf.begin(), buf.begin() + kStripePages * kPageSize / 2,
                           [](char c) { return c == 'z'; }));
-  EXPECT_TRUE(std::all_of(buf.begin() + config.stripe_pages * kPageSize / 2, buf.end(),
+  EXPECT_TRUE(std::all_of(buf.begin() + kStripePages * kPageSize / 2, buf.end(),
                           [](char c) { return c == 'w'; }));
 }
 
-TEST(TieredFsTest, GrowPastOneTierFailsNoSpcWithoutCorruptingAllocator) {
+TEST(TieredStripingTest, GrowPastOneTierFailsNoSpcWithoutCorruptingAllocator) {
   // Tier 0 can hold 41 pages past its metadata page; tier 1 is huge. A grow
   // that does not fit tier 0 must fail kNoSpc *before* either bump pointer
   // moves, so smaller allocations keep succeeding afterwards.
   DiskDeviceConfig small;
   small.capacity_bytes = 42 * kPageSize;  // 1 metadata page + 41 usable
-  TieredFs fs("t", std::make_unique<DiskDevice>(small),
-              std::make_unique<DiskDevice>(DiskDeviceConfig{}));
-  const InodeNum ino = fs.CreateFile(fs.root(), "f").value();
+  auto fs = MakeTieredLayout(std::make_unique<DiskDevice>(small),
+                             std::make_unique<DiskDevice>(DiskDeviceConfig{}));
+  const InodeNum ino = fs->CreateFile(fs->root(), "f").value();
   const std::string a(static_cast<size_t>(32 * kPageSize), 'a');
-  ASSERT_TRUE(fs.WriteBytes(ino, 0, std::span<const char>(a.data(), a.size())).ok());
+  ASSERT_TRUE(fs->WriteBytes(ino, 0, std::span<const char>(a.data(), a.size())).ok());
 
   // Growing to 48 pages needs a fresh 48-page region on both tiers; tier 0
   // has only 9 pages left.
-  auto grow = fs.Truncate(ino, 48 * kPageSize);
+  auto grow = fs->Truncate(ino, 48 * kPageSize);
   ASSERT_FALSE(grow.ok());
   EXPECT_EQ(grow.error(), Err::kNoSpc);
 
   // The original region still maps and serves I/O.
-  EXPECT_TRUE(fs.ReadPagesFromStore(ino, 0, 32).ok());
+  EXPECT_TRUE(fs->ReadPagesFromStore(ino, 0, 32).ok());
 
   // The failed grow consumed nothing: a 4-page file still fits (33 + 4 + 4
   // would not fit twice, so a second over-ask keeps failing deterministically).
-  const InodeNum ino2 = fs.CreateFile(fs.root(), "g").value();
+  const InodeNum ino2 = fs->CreateFile(fs->root(), "g").value();
   const std::string b(static_cast<size_t>(4 * kPageSize), 'b');
-  ASSERT_TRUE(fs.WriteBytes(ino2, 0, std::span<const char>(b.data(), b.size())).ok());
-  EXPECT_TRUE(fs.ReadPagesFromStore(ino2, 0, 4).ok());
-  auto grow2 = fs.Truncate(ino, 48 * kPageSize);
+  ASSERT_TRUE(fs->WriteBytes(ino2, 0, std::span<const char>(b.data(), b.size())).ok());
+  EXPECT_TRUE(fs->ReadPagesFromStore(ino2, 0, 4).ok());
+  auto grow2 = fs->Truncate(ino, 48 * kPageSize);
   ASSERT_FALSE(grow2.ok());
   EXPECT_EQ(grow2.error(), Err::kNoSpc);
 }
@@ -362,8 +373,7 @@ TEST(TieredFsTest, GrowPastOneTierFailsNoSpcWithoutCorruptingAllocator) {
 TEST(RankByTest, P99RankingDefersSsdInsideGcWindow) {
   TieredWorld w = MakeTieredWorld();
   const int fd = w.kernel->Create(*w.proc, "/f").value();
-  const TieredFsConfig config;
-  const int64_t size = 4 * config.stripe_pages * kPageSize;
+  const int64_t size = 4 * kStripePages * kPageSize;
   const std::string data(static_cast<size_t>(size), 'z');
   ASSERT_TRUE(w.kernel->Write(*w.proc, fd, std::span<const char>(data.data(), data.size())).ok());
   w.kernel->FlushAllDirty();
@@ -372,7 +382,7 @@ TEST(RankByTest, P99RankingDefersSsdInsideGcWindow) {
   // Open a GC window on the SSD tier: mean barely moves (duty * stall =
   // 12 ms < the disk's 18 ms mean) but the p99 balloons past the disk's.
   auto plan = std::make_shared<FaultPlan>(FaultPlanConfig{});
-  w.fs->tier(0).InjectFaults(plan);
+  w.fs->replica(0).InjectFaults(plan);
   plan->AttachClock(&w.kernel->clock());
   const TimePoint now = w.kernel->clock().Now();
   plan->AddGcWindow(now, now + Seconds(3600), Milliseconds(60), 0.2);
@@ -382,7 +392,7 @@ TEST(RankByTest, P99RankingDefersSsdInsideGcWindow) {
   const auto ssd_sled = std::find_if(sleds.begin(), sleds.end(),
                                      [](const Sled& s) { return s.offset == 0; });
   const auto disk_sled = std::find_if(sleds.begin(), sleds.end(), [&](const Sled& s) {
-    return s.offset == config.stripe_pages * kPageSize;
+    return s.offset == kStripePages * kPageSize;
   });
   ASSERT_NE(ssd_sled, sleds.end());
   ASSERT_NE(disk_sled, sleds.end());
@@ -397,7 +407,7 @@ TEST(RankByTest, P99RankingDefersSsdInsideGcWindow) {
   PickerOptions p99_opts;
   p99_opts.rank_by = RankBy::kP99;
   auto p99_picker = SledsPicker::Create(*w.kernel, *w.proc, fd, p99_opts).value();
-  EXPECT_EQ(p99_picker->plan().front().offset, config.stripe_pages * kPageSize);
+  EXPECT_EQ(p99_picker->plan().front().offset, kStripePages * kPageSize);
   // Both plans still cover every byte exactly once.
   int64_t mean_total = 0, p99_total = 0;
   for (const Sled& s : mean_picker->plan()) mean_total += s.length;
