@@ -137,16 +137,17 @@ if [[ "${SKIP_TSAN:-}" == "1" ]]; then
   echo "==== ThreadSanitizer smoke skipped (SKIP_TSAN=1) ===="
 else
   echo "==== ThreadSanitizer smoke: shard runtime under TSan ===="
-  # Only the shard suite runs threads; building just its test keeps the stage
-  # fast while covering the SPSC rings, the message pool, and the worker
-  # threads racing real multi-mount kernels.
+  # Only ShardRuntime runs threads; building just its two threaded callers'
+  # tests keeps the stage fast while covering the worker threads racing real
+  # multi-mount kernels and the open-loop worlds across shard counts.
   TSAN_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
   cmake -B build-tsan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="${TSAN_FLAGS}" \
     -DCMAKE_EXE_LINKER_FLAGS="${TSAN_FLAGS}" >/dev/null
-  cmake --build build-tsan -j --target shard_diff_test
+  cmake --build build-tsan -j --target shard_diff_test openload_diff_test
   (cd build-tsan && ctest -R '^shard_diff_test$' --output-on-failure)
+  ./build-tsan/tests/openload_diff_test --gtest_filter='OpenLoadEngine.ShardCountInvariance'
 fi
 
 echo "==== all checks passed ===="

@@ -1237,13 +1237,20 @@ Result<int64_t> SimKernel::IoctlSledsLock(Process& p, int fd, int64_t offset, in
     }
     page = run->end();
   }
-  ChargeCpu(p, config_.costs.sled_scan_per_page * (last - first + 1));
+  // A range starting past EOF scans nothing (last < first).
+  ChargeCpu(p, config_.costs.sled_scan_per_page * std::max<int64_t>(0, last - first + 1));
   return pinned;
 }
 
 Result<int64_t> SimKernel::IoctlSledsUnlock(Process& p, int fd, int64_t offset, int64_t length) {
   SyscallScope sys(*this, p, "ioctl_sleds_unlock");
   SLED_ASSIGN_OR_RETURN(OpenFile * of, FdOf(p, fd));
+  if (offset < 0) {
+    return Err::kInval;
+  }
+  if (length == 0) {
+    return 0;
+  }
   const int64_t first = length < 0 ? 0 : offset / kPageSize;
   const int64_t last =
       length < 0 ? std::numeric_limits<int64_t>::max() : (offset + length - 1) / kPageSize;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <thread>
+#include <vector>
 
 #include "src/common/log.h"
 
@@ -47,14 +48,7 @@ int ResolveShardCount(int requested) {
 
 ShardRuntime::ShardRuntime(ShardConfig config) : shards_(ResolveShardCount(config.shards)) {
   SLED_CHECK(shards_ >= 1, "shard count must be >= 1");
-  channels_.reserve(static_cast<size_t>(shards_));
-  for (int s = 0; s < shards_; ++s) {
-    channels_.push_back(std::make_unique<ShardChannel>(config.channel_messages));
-  }
-  acquire_waits_.assign(static_cast<size_t>(shards_), 0);
 }
-
-ShardRuntime::~ShardRuntime() = default;
 
 int ShardRuntime::ShardOf(int64_t world_id) const {
   return static_cast<int>(SplitMix64(static_cast<uint64_t>(world_id)) %
@@ -62,117 +56,49 @@ int ShardRuntime::ShardOf(int64_t world_id) const {
 }
 
 void WorldContext::Progress(int64_t sim_ns, int64_t syscalls, int64_t pages) {
-  ShardChannel& ch = *runtime_->channels_[static_cast<size_t>(shard_id_)];
-  ShardMessage* m = nullptr;
-  while ((m = ch.Acquire()) == nullptr) {
-    ++runtime_->acquire_waits_[static_cast<size_t>(shard_id_)];
-    if (runtime_->inline_report_ != nullptr) {
-      runtime_->DrainChannels(runtime_->inline_report_);
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  m->kind = ShardMessage::Kind::kProgress;
-  m->shard = shard_id_;
-  m->world = world_id_;
-  m->sim_ns = sim_ns;
-  m->syscalls = syscalls;
-  m->pages = pages;
-  ch.Send(m);
-}
-
-int64_t ShardRuntime::DrainChannels(RuntimeReport* report) {
-  int64_t drained = 0;
-  for (auto& channel : channels_) {
-    while (ShardMessage* m = channel->Receive()) {
-      switch (m->kind) {
-        case ShardMessage::Kind::kProgress:
-          ++report->progress_messages;
-          report->sim_ns_sum += m->sim_ns;
-          report->syscalls_sum += m->syscalls;
-          report->pages_sum += m->pages;
-          break;
-        case ShardMessage::Kind::kWorldDone:
-          ++report->worlds;
-          break;
-        case ShardMessage::Kind::kNone:
-          SLED_CHECK(false, "blank message on shard channel");
-          break;
-      }
-      channel->Release(m);
-      ++drained;
-    }
-  }
-  return drained;
+  ++tally_->progress_messages;
+  tally_->sim_ns_sum += sim_ns;
+  tally_->syscalls_sum += syscalls;
+  tally_->pages_sum += pages;
 }
 
 RuntimeReport ShardRuntime::Run(int64_t worlds,
                                 const std::function<void(WorldContext&)>& body) {
   SLED_CHECK(worlds >= 0, "negative world count");
+  // One tally per shard, written only by the thread that runs the shard and
+  // read only after the join.
+  std::vector<RuntimeReport> tallies(static_cast<size_t>(shards_));
+  auto run_shard = [&](int shard) {
+    RuntimeReport& tally = tallies[static_cast<size_t>(shard)];
+    for (int64_t w = 0; w < worlds; ++w) {
+      if (ShardOf(w) == shard) {
+        WorldContext ctx(&tally, w, shard);
+        body(ctx);
+        ++tally.worlds;
+      }
+    }
+  };
+  {
+    // Joined at the end of this scope, also when shard 0's body throws.
+    std::vector<std::jthread> workers;
+    workers.reserve(static_cast<size_t>(shards_ - 1));
+    for (int s = 1; s < shards_; ++s) {
+      workers.emplace_back(run_shard, s);
+    }
+    run_shard(0);
+  }
+
   RuntimeReport report;
   report.shards = shards_;
-  std::fill(acquire_waits_.begin(), acquire_waits_.end(), 0);
-
-  // One world per body call; the kWorldDone marker travels the same pooled
-  // channel as progress traffic, so the final report.worlds == worlds check
-  // doubles as an end-to-end no-message-lost proof of the SPSC path.
-  auto run_world = [&](int64_t w, int shard) {
-    WorldContext ctx(this, w, shard);
-    body(ctx);
-    ShardChannel& ch = *channels_[static_cast<size_t>(shard)];
-    ShardMessage* m = nullptr;
-    while ((m = ch.Acquire()) == nullptr) {
-      ++acquire_waits_[static_cast<size_t>(shard)];
-      if (inline_report_ != nullptr) {
-        DrainChannels(inline_report_);
-      } else {
-        std::this_thread::yield();
-      }
-    }
-    m->kind = ShardMessage::Kind::kWorldDone;
-    m->shard = shard;
-    m->world = w;
-    ch.Send(m);
-  };
-
-  if (shards_ == 1) {
-    // Oracle mode: no threads, the calling thread interleaves simulation and
-    // draining. Byte-identical to driving the worlds directly.
-    inline_report_ = &report;
-    for (int64_t w = 0; w < worlds; ++w) {
-      run_world(w, 0);
-      DrainChannels(&report);
-    }
-    inline_report_ = nullptr;
-  } else {
-    std::atomic<int> live{shards_};
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<size_t>(shards_));
-    for (int s = 0; s < shards_; ++s) {
-      workers.emplace_back([&, s] {
-        for (int64_t w = 0; w < worlds; ++w) {
-          if (ShardOf(w) == s) {
-            run_world(w, s);
-          }
-        }
-        live.fetch_sub(1, std::memory_order_release);
-      });
-    }
-    while (live.load(std::memory_order_acquire) > 0) {
-      if (DrainChannels(&report) == 0) {
-        std::this_thread::yield();
-      }
-    }
-    for (std::thread& t : workers) {
-      t.join();
-    }
+  for (const RuntimeReport& t : tallies) {
+    report.worlds += t.worlds;
+    report.progress_messages += t.progress_messages;
+    report.sim_ns_sum += t.sim_ns_sum;
+    report.syscalls_sum += t.syscalls_sum;
+    report.pages_sum += t.pages_sum;
   }
-  DrainChannels(&report);
-  SLED_CHECK(report.worlds == worlds, "world-done messages lost: %lld of %lld",
+  SLED_CHECK(report.worlds == worlds, "worlds run: %lld of %lld",
              static_cast<long long>(report.worlds), static_cast<long long>(worlds));
-  for (int64_t waits : acquire_waits_) {
-    report.acquire_waits += waits;
-  }
   return report;
 }
 

@@ -182,5 +182,40 @@ TEST(SledsLockTest, LockBudgetEnforcedThroughIoctl) {
   ASSERT_TRUE(w.kernel->Close(*w.proc, fd).ok());
 }
 
+// A lock range that starts past EOF scans no pages: the syscall still costs
+// its entry, but neither the clock nor the process's CPU time may go back.
+TEST(SledsLockTest, LockPastEofNeverRunsTheClockBackwards) {
+  World w = MakeWorld(64);
+  WriteFile(w, "/a", 2 * kPageSize);
+  const int fd = w.kernel->Open(*w.proc, "/a").value();
+  for (const int64_t offset : {2, 3, 1000}) {
+    const TimePoint clock_before = w.kernel->clock().Now();
+    const Duration cpu_before = w.proc->stats().cpu_time;
+    EXPECT_EQ(w.kernel->IoctlSledsLock(*w.proc, fd, offset * kPageSize, kPageSize).value(), 0)
+        << offset;
+    EXPECT_GE(w.kernel->clock().Now(), clock_before) << offset;
+    EXPECT_GE(w.proc->stats().cpu_time, cpu_before) << offset;
+  }
+  ASSERT_TRUE(w.kernel->Close(*w.proc, fd).ok());
+}
+
+// Unlock takes Lock's argument rules: a negative offset is invalid, an empty
+// range releases nothing, and a negative length still means "everything".
+TEST(SledsLockTest, UnlockEmptyOrNegativeOffsetReleasesNothing) {
+  World w = MakeWorld(64);
+  WriteFile(w, "/a", 4 * kPageSize);
+  const int fd = w.kernel->Open(*w.proc, "/a").value();
+  std::vector<char> buf(static_cast<size_t>(4 * kPageSize));
+  ASSERT_TRUE(w.kernel->Read(*w.proc, fd, std::span<char>(buf.data(), buf.size())).ok());
+  ASSERT_EQ(w.kernel->IoctlSledsLock(*w.proc, fd, 0, 4 * kPageSize).value(), 4);
+  EXPECT_EQ(w.kernel->IoctlSledsUnlock(*w.proc, fd, 0, 0).value(), 0);
+  EXPECT_EQ(w.kernel->IoctlSledsUnlock(*w.proc, fd, kPageSize, 0).value(), 0);
+  EXPECT_EQ(w.kernel->IoctlSledsUnlock(*w.proc, fd, -1, kPageSize).error(), Err::kInval);
+  EXPECT_EQ(w.kernel->cache().pinned_pages(), 4);
+  EXPECT_EQ(w.kernel->IoctlSledsUnlock(*w.proc, fd, 0, -1).value(), 4);
+  EXPECT_EQ(w.kernel->cache().pinned_pages(), 0);
+  ASSERT_TRUE(w.kernel->Close(*w.proc, fd).ok());
+}
+
 }  // namespace
 }  // namespace sled

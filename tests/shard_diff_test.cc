@@ -1,10 +1,11 @@
 // Differential tests for the shard-per-core runtime (cache_diff_test
-// playbook): the single-shard inline oracle is the reference, and N-shard
-// runs must reproduce it exactly — per-world simulated times, kernel stat
-// deltas, and the merged metrics export are compared byte for byte across
-// repeated runs and across shard counts. Plus unit and threaded coverage of
-// the SPSC ring and the pooled message channel; the threaded cases are the
-// payload of the ThreadSanitizer stage in scripts/check.sh.
+// playbook): the single-shard run on the calling thread is the reference,
+// and N-shard runs must reproduce it exactly — per-world simulated times,
+// kernel stat deltas, and the merged metrics export are compared byte for
+// byte across repeated runs and across shard counts. Plus the runtime's own
+// contract: each world runs once, on its shard's thread, and the report sums
+// every tally. The threaded cases are the payload of the ThreadSanitizer
+// stage in scripts/check.sh.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -13,131 +14,11 @@
 
 #include "src/common/rng.h"
 #include "src/obs/merge.h"
-#include "src/shard/message_pool.h"
 #include "src/shard/shard_runtime.h"
-#include "src/shard/spsc_queue.h"
 #include "src/workload/shard_world.h"
 
 namespace sled {
 namespace {
-
-TEST(SpscQueue, FifoOrderAndCapacity) {
-  SpscQueue<int> q(4);
-  EXPECT_EQ(q.capacity(), 4u);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(q.TryPush(i));
-  }
-  EXPECT_FALSE(q.TryPush(99));  // full: capacity slots, no wasted entry
-  int v = -1;
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(q.TryPop(&v));
-    EXPECT_EQ(v, i);
-  }
-  EXPECT_FALSE(q.TryPop(&v));  // empty
-  // Wrap-around: indices are monotonic counters masked into the ring.
-  for (int round = 0; round < 1000; ++round) {
-    EXPECT_TRUE(q.TryPush(round));
-    ASSERT_TRUE(q.TryPop(&v));
-    EXPECT_EQ(v, round);
-  }
-}
-
-TEST(SpscQueue, CapacityRoundsUpToPowerOfTwo) {
-  SpscQueue<int> q(5);
-  EXPECT_EQ(q.capacity(), 8u);
-  SpscQueue<int> q1(1);
-  EXPECT_EQ(q1.capacity(), 2u);
-}
-
-// Producer thread streams a counter through a small ring while the main
-// thread consumes; order and completeness must survive the handoff. Under
-// TSan this exercises the acquire/release pairs on both indices.
-TEST(SpscQueue, ThreadedHandoffPreservesSequence) {
-  constexpr int kItems = 200000;
-  SpscQueue<int> q(64);
-  std::thread producer([&q] {
-    for (int i = 0; i < kItems;) {
-      if (q.TryPush(i)) {
-        ++i;
-      } else {
-        std::this_thread::yield();
-      }
-    }
-  });
-  int expected = 0;
-  while (expected < kItems) {
-    int v;
-    if (q.TryPop(&v)) {
-      ASSERT_EQ(v, expected);
-      ++expected;
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  producer.join();
-  int v;
-  EXPECT_FALSE(q.TryPop(&v));
-}
-
-TEST(ShardChannel, PoolDrainsAndRecycles) {
-  ShardChannel ch(8);
-  EXPECT_EQ(ch.pool_size(), 8u);
-  // Exhaust the pool without recycling: Acquire must report dry, not grow.
-  std::vector<ShardMessage*> held;
-  for (size_t i = 0; i < ch.pool_size(); ++i) {
-    ShardMessage* m = ch.Acquire();
-    ASSERT_NE(m, nullptr);
-    held.push_back(m);
-  }
-  EXPECT_EQ(ch.Acquire(), nullptr);
-  for (ShardMessage* m : held) {
-    m->kind = ShardMessage::Kind::kProgress;
-    ch.Send(m);
-  }
-  // Consume and recycle; the pool refills completely.
-  int received = 0;
-  while (ShardMessage* m = ch.Receive()) {
-    ++received;
-    ch.Release(m);
-  }
-  EXPECT_EQ(received, 8);
-  ASSERT_NE(ch.Acquire(), nullptr);
-}
-
-// Worker acquires/sends while control receives/releases: both rings run
-// concurrently through the same slab without loss or duplication.
-TEST(ShardChannel, ThreadedPingPong) {
-  constexpr int64_t kMessages = 100000;
-  ShardChannel ch(16);
-  std::thread worker([&ch] {
-    for (int64_t i = 0; i < kMessages;) {
-      ShardMessage* m = ch.Acquire();
-      if (m == nullptr) {
-        std::this_thread::yield();
-        continue;
-      }
-      m->kind = ShardMessage::Kind::kProgress;
-      m->sim_ns = i;
-      ch.Send(m);
-      ++i;
-    }
-  });
-  int64_t received = 0;
-  int64_t sum = 0;
-  while (received < kMessages) {
-    ShardMessage* m = ch.Receive();
-    if (m == nullptr) {
-      std::this_thread::yield();
-      continue;
-    }
-    EXPECT_EQ(m->sim_ns, received);  // SPSC: in-order delivery
-    sum += m->sim_ns;
-    ch.Release(m);
-    ++received;
-  }
-  worker.join();
-  EXPECT_EQ(sum, kMessages * (kMessages - 1) / 2);
-}
 
 TEST(ShardRuntime, PartitionIsStableAndCoversShards) {
   for (int shards : {2, 3, 4, 8}) {
@@ -159,9 +40,9 @@ TEST(ShardRuntime, PartitionIsStableAndCoversShards) {
 
 TEST(ShardRuntime, ReportAggregatesEveryMessage) {
   for (int shards : {1, 3}) {
-    ShardRuntime rt(ShardConfig{.shards = shards, .channel_messages = 4});
-    // 12 worlds x 5 progress messages through 4-deep pools: the pools cycle
-    // many times, and the deterministic sums still come out exact.
+    ShardRuntime rt(ShardConfig{.shards = shards});
+    // 12 worlds x 5 progress reports, tallied per shard: the summed report
+    // comes out exact.
     const RuntimeReport report = rt.Run(12, [](WorldContext& ctx) {
       for (int i = 0; i < 5; ++i) {
         ctx.Progress(/*sim_ns=*/ctx.world_id() + 1, /*syscalls=*/i, /*pages=*/2);
@@ -172,6 +53,44 @@ TEST(ShardRuntime, ReportAggregatesEveryMessage) {
     EXPECT_EQ(report.sim_ns_sum, 5 * (12 * 13) / 2);
     EXPECT_EQ(report.syscalls_sum, 12 * (0 + 1 + 2 + 3 + 4));
     EXPECT_EQ(report.pages_sum, 120);
+  }
+}
+
+// Every world runs exactly once, on the thread of the shard ShardOf places it
+// on, in ascending id order within the shard. Shard 0 runs on the calling
+// thread, so with one shard every call does.
+TEST(ShardRuntime, EachWorldRunsOnceOnItsShardThread) {
+  constexpr int64_t kWorlds = 64;  // covers every shard (see above)
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int shards : {1, 2, 3, 4}) {
+    ShardRuntime rt(ShardConfig{.shards = shards});
+    // Per-shard slots: each is touched only by the thread running the shard.
+    std::vector<std::vector<int64_t>> ran(static_cast<size_t>(shards));
+    std::vector<std::thread::id> thread_of(static_cast<size_t>(shards));
+    const RuntimeReport report = rt.Run(kWorlds, [&](WorldContext& ctx) {
+      ASSERT_EQ(ctx.shard_id(), rt.ShardOf(ctx.world_id()));
+      const size_t s = static_cast<size_t>(ctx.shard_id());
+      ran[s].push_back(ctx.world_id());
+      if (ran[s].size() == 1) {
+        thread_of[s] = std::this_thread::get_id();
+      }
+      EXPECT_EQ(thread_of[s], std::this_thread::get_id()) << "world " << ctx.world_id();
+    });
+    EXPECT_EQ(report.shards, shards);
+    EXPECT_EQ(report.worlds, kWorlds);
+    for (int s = 0; s < shards; ++s) {
+      std::vector<int64_t> expected;
+      for (int64_t w = 0; w < kWorlds; ++w) {
+        if (rt.ShardOf(w) == s) {
+          expected.push_back(w);
+        }
+      }
+      EXPECT_EQ(ran[static_cast<size_t>(s)], expected) << shards << " shards, shard " << s;
+      if (s > 0) {
+        EXPECT_NE(thread_of[static_cast<size_t>(s)], caller) << shards << " shards, shard " << s;
+      }
+    }
+    EXPECT_EQ(thread_of[0], caller) << shards << " shards";
   }
 }
 
@@ -242,7 +161,7 @@ void ExpectSameOutcome(const SweepOutcome& a, const SweepOutcome& b, const char*
   EXPECT_EQ(a.pages_sum, b.pages_sum) << label;
 }
 
-// The ShardRuntime(1) inline path is byte-identical to driving the worlds
+// The ShardRuntime(1) run on the calling thread is byte-identical to driving the worlds
 // directly with no runtime at all.
 TEST(ShardDiff, OracleMatchesDirectExecution) {
   const auto configs = RandomWorldConfigs(11, 3);
