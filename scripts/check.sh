@@ -11,8 +11,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==== tier-1: configure + build + ctest -L tier1 ===="
-cmake -B build -S . >/dev/null
+echo "==== tier-1: configure + build (-Werror) + ctest -L tier1 ===="
+# Warnings are errors here (CMake >= 3.24), so a new warning fails the gate
+# instead of scrolling past among old ones.
+cmake -B build -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
 cmake --build build -j
 (cd build && ctest -L tier1 --output-on-failure -j)
 

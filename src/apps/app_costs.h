@@ -13,7 +13,7 @@ namespace sled {
 struct AppCpuCosts {
   // wc: classify each byte (whitespace/word state machine).
   Duration wc_per_byte = Nanoseconds(8);
-  // grep: Boyer-Moore-Horspool scan amortizes below 1 cycle/byte, but line
+  // grep: the substring scan amortizes below 1 cycle/byte, but line
   // assembly and bookkeeping dominate.
   Duration grep_per_byte = Nanoseconds(12);
   // Extra per-byte cost of SLEDs record management and data copying in grep

@@ -9,7 +9,7 @@
 
 namespace sled {
 
-std::vector<size_t> HorspoolSearchAll(std::string_view haystack, std::string_view needle) {
+std::vector<size_t> SearchAll(std::string_view haystack, std::string_view needle) {
   std::vector<size_t> hits;
   const TextSearcher searcher(needle);
   for (size_t pos = searcher.Find(haystack); pos != std::string_view::npos;
@@ -172,7 +172,7 @@ class RunScanner {
     return options_.quiet_first_match;
   }
 
-  const TextSearcher searcher_;  // skip table built once per grep run
+  const TextSearcher searcher_;  // one per grep run
   const GrepOptions& options_;
   std::vector<GrepMatch>* matches_;
   int64_t run_start_ = 0;

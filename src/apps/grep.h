@@ -72,9 +72,8 @@ class GrepApp {
 };
 
 // Every (possibly overlapping) match position of `needle` in `haystack`, by
-// the Boyer-Moore-Horspool searcher grep uses (TextSearcher). Exposed for
-// tests.
-std::vector<size_t> HorspoolSearchAll(std::string_view haystack, std::string_view needle);
+// the searcher grep uses (TextSearcher). Exposed for tests.
+std::vector<size_t> SearchAll(std::string_view haystack, std::string_view needle);
 
 }  // namespace sled
 

@@ -5,9 +5,10 @@
 namespace sled {
 namespace {
 
-// The counting loops run over fixed 64-byte blocks: GCC's -O2 cost model
-// vectorises a loop only when its trip count is a known multiple of the
-// vector width, and a per-block uint8_t sum cannot overflow (64 < 256).
+// The counting loops and the search filter run over fixed 64-byte blocks:
+// GCC's -O2 cost model vectorises a loop only when its trip count is a known
+// multiple of the vector width, and a per-block uint8_t sum cannot overflow
+// (64 < 256).
 constexpr size_t kBlock = 64;
 
 }  // namespace
@@ -57,28 +58,41 @@ TextCount CountText(std::string_view data, bool in_word) {
   return c;
 }
 
-TextSearcher::TextSearcher(std::string_view needle) : needle_(needle) {
-  shift_.fill(needle_.size());
-  for (size_t i = 0; i + 1 < needle_.size(); ++i) {
-    shift_[static_cast<uint8_t>(needle_[i])] = needle_.size() - 1 - i;
-  }
-}
-
 size_t TextSearcher::Find(std::string_view haystack, size_t from) const {
   const size_t m = needle_.size();
-  if (m == 0 || haystack.size() < m) {
+  if (m == 0 || haystack.size() < m || from > haystack.size() - m) {
     return std::string_view::npos;
   }
   const char* p = haystack.data();
-  const size_t last = m - 1;
-  const char tail = needle_[last];
-  const size_t end = haystack.size() - m;  // last position a match can start
-  for (size_t pos = from; pos <= end;) {
-    const char c = p[pos + last];
-    if (c == tail && std::memcmp(p + pos, needle_.data(), last) == 0) {
-      return pos;
+  const char* needle = needle_.data();
+  const char head = needle[0];
+  const char tail = needle[m - 1];
+  // Start `pos` is a candidate when its first and last bytes match the
+  // needle's; only a candidate pays for the full compare.
+  auto match_at = [&](size_t pos) {
+    return p[pos] == head && p[pos + m - 1] == tail && std::memcmp(p + pos, needle, m) == 0;
+  };
+  const size_t end = haystack.size() - m + 1;  // one past the last start
+  size_t i = from;
+  for (; i + kBlock <= end; i += kBlock) {
+    // Branch-free over the block so GCC vectorises it. p[i + j + m - 1] is
+    // in bounds because every start i + j in the block is below `end`.
+    uint8_t candidates = 0;
+    for (size_t j = 0; j < kBlock; ++j) {
+      candidates |= (p[i + j] == head) & (p[i + j + m - 1] == tail);
     }
-    pos += shift_[static_cast<uint8_t>(c)];
+    if (candidates != 0) {
+      for (size_t j = 0; j < kBlock; ++j) {
+        if (match_at(i + j)) {
+          return i + j;
+        }
+      }
+    }
+  }
+  for (; i < end; ++i) {
+    if (match_at(i)) {
+      return i;
+    }
   }
   return std::string_view::npos;
 }

@@ -8,7 +8,6 @@
 #ifndef SLEDS_SRC_COMMON_TEXT_SCAN_H_
 #define SLEDS_SRC_COMMON_TEXT_SCAN_H_
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -37,11 +36,15 @@ int64_t CountNewlines(std::string_view data);
 // file through in pieces, carrying `in_word`, gives the one-pass counts.
 TextCount CountText(std::string_view data, bool in_word);
 
-// Boyer-Moore-Horspool search for one fixed needle. The skip table is built
-// once, so repeated searches pay only the scan.
+// Substring search for one fixed needle by a first/last-byte filter: each
+// fixed block of 64 start positions is tested branch-free (vectorised) for a
+// start whose first and last bytes equal the needle's, and only a block with
+// such a candidate is checked position by position with memcmp. Where the
+// needle's end bytes are rare in the text, the vector test alone rejects
+// nearly every block.
 class TextSearcher {
  public:
-  explicit TextSearcher(std::string_view needle);
+  explicit TextSearcher(std::string_view needle) : needle_(needle) {}
 
   // Position of the first occurrence of the needle starting at or after
   // `from`, or std::string_view::npos. An empty needle never matches.
@@ -49,7 +52,6 @@ class TextSearcher {
 
  private:
   std::string needle_;
-  std::array<size_t, 256> shift_{};
 };
 
 }  // namespace sled

@@ -25,6 +25,13 @@ InodeNum InoOfFid(FileId fid) { return static_cast<InodeNum>(fid & kInoMask); }
 // like an NFS hard-mount interruption. Everything else passes through.
 Err ToSyscallErr(Err e) { return e == Err::kUnavailable ? Err::kTimedOut : e; }
 
+// A SLED ioctl's byte range [offset, offset + length), both non-negative,
+// with `length` cut so the end fits in int64: a range that would run past
+// INT64_MAX runs to EOF, and `offset + length - 1` cannot overflow.
+int64_t ClampToEnd(int64_t offset, int64_t length) {
+  return std::min(length, std::numeric_limits<int64_t>::max() - offset);
+}
+
 // A maximal stretch of consecutive dirty pages of one file: one write request.
 struct DirtyRun {
   FileId file = 0;
@@ -1194,6 +1201,7 @@ Result<SledVector> SimKernel::IoctlSledsGet(Process& p, int fd, int64_t offset, 
   if (offset < 0 || length < 0) {
     return Err::kInval;
   }
+  length = ClampToEnd(offset, length);
   FileSystem* fs = FsOf(*of);
   const int64_t size = fs->SizeOf(of->ino);
   const int64_t npages = PagesFor(size);
@@ -1209,6 +1217,7 @@ Result<int64_t> SimKernel::IoctlSledsLock(Process& p, int fd, int64_t offset, in
   if (offset < 0 || length <= 0) {
     return Err::kInval;
   }
+  length = ClampToEnd(offset, length);
   FileSystem* fs = FsOf(*of);
   const int64_t size = fs->SizeOf(of->ino);
   const int64_t first = offset / kPageSize;
@@ -1252,8 +1261,8 @@ Result<int64_t> SimKernel::IoctlSledsUnlock(Process& p, int fd, int64_t offset, 
     return 0;
   }
   const int64_t first = length < 0 ? 0 : offset / kPageSize;
-  const int64_t last =
-      length < 0 ? std::numeric_limits<int64_t>::max() : (offset + length - 1) / kPageSize;
+  const int64_t last = length < 0 ? std::numeric_limits<int64_t>::max()
+                                  : (offset + ClampToEnd(offset, length) - 1) / kPageSize;
   int64_t released = 0;
   std::erase_if(of->locked_pages, [&](int64_t page) {
     if (page < first || page > last) {

@@ -251,12 +251,12 @@ TEST(GrepAppTest, MatchSpanningChunkSeamWithinRun) {
   EXPECT_EQ(r.matches[0].line_offset, 0);
 }
 
-TEST(HorspoolTest, FindsAllOccurrences) {
-  EXPECT_EQ(HorspoolSearchAll("abcabcabc", "abc"), (std::vector<size_t>{0, 3, 6}));
-  EXPECT_EQ(HorspoolSearchAll("aaaa", "aa"), (std::vector<size_t>{0, 1, 2}));
-  EXPECT_TRUE(HorspoolSearchAll("abc", "abcd").empty());
-  EXPECT_TRUE(HorspoolSearchAll("abc", "").empty());
-  EXPECT_EQ(HorspoolSearchAll("xneedle", "needle"), (std::vector<size_t>{1}));
+TEST(SearchAllTest, FindsAllOccurrences) {
+  EXPECT_EQ(SearchAll("abcabcabc", "abc"), (std::vector<size_t>{0, 3, 6}));
+  EXPECT_EQ(SearchAll("aaaa", "aa"), (std::vector<size_t>{0, 1, 2}));
+  EXPECT_TRUE(SearchAll("abc", "abcd").empty());
+  EXPECT_TRUE(SearchAll("abc", "").empty());
+  EXPECT_EQ(SearchAll("xneedle", "needle"), (std::vector<size_t>{1}));
 }
 
 TEST(GrepAppTest, PatternWithNewlineIsRejected) {

@@ -1,6 +1,7 @@
 // Unit tests for src/common: time, units, results, statistics, RNG, plotting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -304,6 +305,45 @@ TEST(TextScanTest, SearcherMatchesStringFind) {
       const size_t want = needle.empty() ? std::string_view::npos
                                          : std::string_view(hay).find(needle, from);
       ASSERT_EQ(searcher.Find(hay, from), want) << needle << " from " << from;
+    }
+  }
+}
+
+// Find against string_view::find on haystacks of every length 0-200, across
+// the filter's 64-byte block edges, from every start. The bytes come from a
+// six-byte alphabet holding NUL, bytes >= 0x80 and the needles' end bytes, so
+// candidates are dense; each needle is also planted at a random start and at
+// the last start a match can have. Haystacks are exact-size heap buffers, so
+// a sanitizer build catches a read past the end.
+TEST(TextScanTest, FindMatchesStringFindAcrossBlockEdges) {
+  using namespace std::string_view_literals;
+  constexpr std::string_view kAlphabet = "abX\0\x80\xff"sv;
+  const std::string_view needles[] = {
+      "a"sv,        "\0"sv,                 "aa"sv,
+      "a\x80"sv,    "XNEEDLEX"sv,           "ab\0\xff" "ab\0b"sv,
+      "aabXaabaa"sv, "\x80" "ab\0Xab\x80"sv,
+  };
+  Rng rng(21);
+  for (size_t n = 0; n <= 200; ++n) {
+    for (const std::string_view needle : needles) {
+      for (int plant = 0; plant < 3; ++plant) {  // none, random start, last start
+        std::vector<char> hay(n);
+        for (char& c : hay) {
+          c = kAlphabet[static_cast<size_t>(rng.Uniform(0, kAlphabet.size() - 1))];
+        }
+        if (plant > 0 && n >= needle.size()) {
+          const size_t last = n - needle.size();
+          const size_t at = plant == 1 ? static_cast<size_t>(rng.Uniform(0, last)) : last;
+          std::copy(needle.begin(), needle.end(), hay.begin() + at);
+        }
+        const std::string_view h(hay.data(), hay.size());
+        const TextSearcher searcher(needle);
+        for (size_t from = 0; from <= n + 1; ++from) {
+          ASSERT_EQ(searcher.Find(h, from), h.find(needle, from))
+              << "n " << n << " needle size " << needle.size() << " plant " << plant << " from "
+              << from;
+        }
+      }
     }
   }
 }

@@ -2,6 +2,7 @@
 // page pinning in the cache and the FSLEDS_LOCK/FSLEDS_UNLOCK ioctls.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -214,6 +215,42 @@ TEST(SledsLockTest, UnlockEmptyOrNegativeOffsetReleasesNothing) {
   EXPECT_EQ(w.kernel->cache().pinned_pages(), 4);
   EXPECT_EQ(w.kernel->IoctlSledsUnlock(*w.proc, fd, 0, -1).value(), 4);
   EXPECT_EQ(w.kernel->cache().pinned_pages(), 0);
+  ASSERT_TRUE(w.kernel->Close(*w.proc, fd).ok());
+}
+
+// A range whose end lies past INT64_MAX runs to EOF: offset + length must not
+// overflow (a sanitizer build traps on it). On a 2-page file the range covers
+// no page, so each ioctl succeeds and touches nothing.
+constexpr int64_t kNearMaxOffset = std::numeric_limits<int64_t>::max() - 10;
+
+TEST(SledsLockTest, GetRangeNearInt64MaxIsEmpty) {
+  World w = MakeWorld(64);
+  WriteFile(w, "/a", 2 * kPageSize);
+  const int fd = w.kernel->Open(*w.proc, "/a").value();
+  EXPECT_TRUE(w.kernel->IoctlSledsGet(*w.proc, fd, kNearMaxOffset, 100).value().empty());
+  ASSERT_TRUE(w.kernel->Close(*w.proc, fd).ok());
+}
+
+TEST(SledsLockTest, LockRangeNearInt64MaxPinsNothing) {
+  World w = MakeWorld(64);
+  WriteFile(w, "/a", 2 * kPageSize);
+  const int fd = w.kernel->Open(*w.proc, "/a").value();
+  std::vector<char> buf(static_cast<size_t>(2 * kPageSize));
+  ASSERT_TRUE(w.kernel->Read(*w.proc, fd, std::span<char>(buf.data(), buf.size())).ok());
+  EXPECT_EQ(w.kernel->IoctlSledsLock(*w.proc, fd, kNearMaxOffset, 100).value(), 0);
+  EXPECT_EQ(w.kernel->cache().pinned_pages(), 0);
+  ASSERT_TRUE(w.kernel->Close(*w.proc, fd).ok());
+}
+
+TEST(SledsLockTest, UnlockRangeNearInt64MaxReleasesNothing) {
+  World w = MakeWorld(64);
+  WriteFile(w, "/a", 2 * kPageSize);
+  const int fd = w.kernel->Open(*w.proc, "/a").value();
+  std::vector<char> buf(static_cast<size_t>(2 * kPageSize));
+  ASSERT_TRUE(w.kernel->Read(*w.proc, fd, std::span<char>(buf.data(), buf.size())).ok());
+  ASSERT_EQ(w.kernel->IoctlSledsLock(*w.proc, fd, 0, 2 * kPageSize).value(), 2);
+  EXPECT_EQ(w.kernel->IoctlSledsUnlock(*w.proc, fd, kNearMaxOffset, 100).value(), 0);
+  EXPECT_EQ(w.kernel->cache().pinned_pages(), 2);
   ASSERT_TRUE(w.kernel->Close(*w.proc, fd).ok());
 }
 
