@@ -120,6 +120,7 @@ else
     -DCMAKE_CXX_FLAGS="${SAN_FLAGS}" \
     -DCMAKE_EXE_LINKER_FLAGS="${SAN_FLAGS}" >/dev/null
   cmake --build build-asan -j
+  # Every ctest entry, the example programs and the sledsh demo included.
   (cd build-asan && ctest --output-on-failure -j)
   echo "==== sanitizers: bench_openloop 10k-client smoke under ASan+UBSan ===="
   SLEDS_OPENLOAD_CLIENTS=10000 SLEDS_OPENLOAD_SCENARIO_CLIENTS=1000 \

@@ -3,7 +3,7 @@
 #
 #   scripts/profile.sh bench_scale                 # profile bench_scale
 #   scripts/profile.sh bench_micro --benchmark_filter='BM_PageCacheTouchHit'
-#   scripts/profile.sh perfbench --workload paper_apps --seconds 10
+#   scripts/profile.sh perfbench --workload paper_apps --seed 1 --seconds 10 --trace 0
 #
 # With Linux perf: builds the `profile` CMake preset (RelWithDebInfo +
 # -fno-omit-frame-pointer, see CMakePresets.json) so call graphs resolve,

@@ -20,6 +20,7 @@ benches=(
   bench_fig03_lru_passes bench_fig07_08_wc_nfs bench_fig09_wc_cdrom_faults
   bench_fig11_12_grep_first_ext2 bench_fig13_grep_cdf_nfs bench_iosched bench_fault
   bench_ssd bench_replica bench_progs bench_hsm_find bench_ablation_mmap
+  bench_fig10_grep_all_cdrom bench_fig14_fimhisto bench_fig15_fimgbin
 )
 modes=(sync fifo_async elevator)
 jobs="$(nproc 2>/dev/null || echo 2)"

@@ -74,11 +74,6 @@ Result<void> Walk(SimKernel& kernel, Process& process, const std::string& dir,
       }
     }
     if (e.is_dir) {
-      if (options.include_dirs &&
-          (options.name_contains.empty() ||
-           e.name.find(options.name_contains) != std::string::npos)) {
-        out->paths.push_back(path);
-      }
       SLED_RETURN_IF_ERROR(Walk(kernel, process, path, options, root_fs_id, out));
       continue;
     }
@@ -131,7 +126,7 @@ int64_t ChainReadI64Le(const char* data) {
 
 Result<ChainResult> FindApp::RunChain(SimKernel& kernel, Process& process, std::string_view path,
                                       const ChainOptions& options) {
-  if (options.block_bytes < 16 || options.start_offset < 0 || options.max_hops < 1) {
+  if (options.block_bytes < 16 || options.max_hops < 1) {
     return Err::kInval;
   }
   SLED_ASSIGN_OR_RETURN(int fd, kernel.Open(process, path));
@@ -140,7 +135,6 @@ Result<ChainResult> FindApp::RunChain(SimKernel& kernel, Process& process, std::
     ProgSpec spec;
     spec.kind = ProgKind::kChainWalk;
     spec.pattern = options.name_contains;
-    spec.start_offset = options.start_offset;
     spec.block_bytes = options.block_bytes;
     // The head read is the installed first fetch, not a resubmit, so a
     // budget of max_hops-1 chained reads visits exactly max_hops blocks —
@@ -178,7 +172,7 @@ Result<ChainResult> FindApp::RunChain(SimKernel& kernel, Process& process, std::
   result.chain_hash = ProgResult().chain_hash;  // shared FNV-1a basis
   std::vector<char> buf(static_cast<size_t>(options.block_bytes));
   SLED_ASSIGN_OR_RETURN(InodeAttr attr, kernel.Fstat(process, fd));
-  int64_t offset = options.start_offset;
+  int64_t offset = 0;
   for (int64_t hop = 0; offset >= 0; ++hop) {
     if (offset + options.block_bytes > attr.size) {
       (void)kernel.Close(process, fd);

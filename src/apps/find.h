@@ -40,7 +40,6 @@ struct FindOptions {
   // a substring is enough for the experiments.)
   std::string name_contains;
   std::optional<LatencyPredicate> latency;
-  bool include_dirs = false;
   // -xdev: do not descend into other mounted file systems. The paper pairs
   // this classic switch with -latency: "useful to, for example, prevent find
   // from running on NFS-mounted partitions" (§5.2).
@@ -66,7 +65,6 @@ struct ChainOptions {
   // Substring filter on block names; matched block offsets are recorded (up
   // to kProgMaxRecorded, the shared reporting cap).
   std::string name_contains;
-  int64_t start_offset = 0;
   int64_t block_bytes = kPageSize;
   // Hop budget: the oracle stops after this many blocks; the program's
   // resubmit bound enforces the same limit in-kernel.

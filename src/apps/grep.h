@@ -4,8 +4,8 @@
 // in the order recommended by the pick library (record-oriented, so no line
 // ever spans a low/high-latency seam), matches are buffered, sorted by their
 // offset in the file at the end, and only then "dumped to stdout" — which is
-// why switches like -b and -n had to be reimplemented (line numbers are not
-// known until the whole file has been seen).
+// why -n had to be reimplemented (line numbers are not known until the whole
+// file has been seen).
 //
 // Two modes are measured in the paper: a full pass over the file, and -q
 // (terminate on the first match found — with SLEDs that is the first match
@@ -32,7 +32,6 @@ struct GrepOptions {
   bool use_sleds = false;
   bool quiet_first_match = false;  // -q: stop at the first match
   bool line_numbers = false;       // -n
-  bool byte_offsets = false;       // -b
   // Context lines (-B / -A). In SLEDs mode context never crosses a SLED
   // seam: record-oriented picking aligns seams to line boundaries, and the
   // library does not fetch extra data just for context — the same

@@ -43,9 +43,7 @@ std::string RenderPlot(const std::vector<PlotSeries>& series, const PlotOptions&
   if (!xr.valid() || !yr.valid()) {
     return "(no data)\n";
   }
-  if (options.y_from_zero) {
-    yr.Include(0.0);
-  }
+  yr.Include(0.0);
   if (xr.span() == 0.0) {
     xr.hi = xr.lo + 1.0;
   }

@@ -21,11 +21,11 @@ struct PlotOptions {
   std::string title;
   std::string x_label;
   std::string y_label;
-  bool y_from_zero = true;
 };
 
 // Render a scatter plot of the series onto a character grid with axes and a
-// legend. Overlapping points from different series show the later glyph.
+// legend; the y axis always includes zero. Overlapping points from different
+// series show the later glyph.
 std::string RenderPlot(const std::vector<PlotSeries>& series, const PlotOptions& options);
 
 }  // namespace sled

@@ -33,12 +33,6 @@ class Rng {
 
   bool Bernoulli(double p) { return std::bernoulli_distribution(p)(engine_); }
 
-  // Derive an independent child generator; used to give each run of a
-  // repeated experiment its own stream.
-  Rng Fork() { return Rng(engine_()); }
-
-  std::mt19937_64& engine() { return engine_; }
-
  private:
   std::mt19937_64 engine_;
 };

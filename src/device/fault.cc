@@ -1,6 +1,5 @@
 #include "src/device/fault.h"
 
-#include <algorithm>
 #include <cstdlib>
 #include <string>
 
@@ -24,38 +23,27 @@ uint64_t HashName(std::string_view name) {
 FaultPlan::FaultPlan(FaultPlanConfig config) : config_(config), rng_(config.seed) {
   SLED_CHECK(config_.read_fault_prob >= 0.0 && config_.read_fault_prob <= 1.0 &&
                  config_.write_fault_prob >= 0.0 && config_.write_fault_prob <= 1.0 &&
-                 config_.persistent_prob >= 0.0 && config_.persistent_prob <= 1.0 &&
-                 config_.spike_prob >= 0.0 && config_.spike_prob <= 1.0,
+                 config_.persistent_prob >= 0.0 && config_.persistent_prob <= 1.0,
              "fault probabilities must be in [0, 1]");
-  SLED_CHECK(config_.controller_retries >= 0 && config_.spike_factor >= 1.0,
-             "bad fault plan config");
+  SLED_CHECK(config_.controller_retries >= 0, "bad fault plan config");
 }
 
 std::shared_ptr<FaultPlan> FaultPlan::FromEnv(std::string_view device_name) {
   // Env resolution cached once per process (thread-safe magic static):
   // devices are constructed on shard worker threads, and every shard must see
-  // the same plan parameters regardless of construction order.
-  struct EnvPlan {
-    uint64_t seed = 0;
-    double p = 0.002;
-  };
-  static const EnvPlan env_plan = [] {
-    EnvPlan plan;
-    if (const char* env = std::getenv("SLEDS_FAULT_SEED")) {
-      plan.seed = std::strtoull(env, nullptr, 10);
-    }
-    if (const char* pe = std::getenv("SLEDS_FAULT_P"); pe != nullptr) {
-      plan.p = std::clamp(std::strtod(pe, nullptr), 0.0, 1.0);
-    }
-    return plan;
+  // the same seed regardless of construction order.
+  static const uint64_t env_seed = [] {
+    const char* env = std::getenv("SLEDS_FAULT_SEED");
+    return env == nullptr ? uint64_t{0} : std::strtoull(env, nullptr, 10);
   }();
-  if (env_plan.seed == 0) {
+  if (env_seed == 0) {
     return nullptr;  // unset or "0" means off
   }
+  constexpr double kSmokeFaultProb = 0.002;
   FaultPlanConfig fc;
-  fc.seed = env_plan.seed * 1099511628211ull ^ HashName(device_name);
-  fc.read_fault_prob = env_plan.p;
-  fc.write_fault_prob = env_plan.p;
+  fc.seed = env_seed * 1099511628211ull ^ HashName(device_name);
+  fc.read_fault_prob = kSmokeFaultProb;
+  fc.write_fault_prob = kSmokeFaultProb;
   // Transient-only, controller-masked: the fault rolls run hot on every op
   // but an escape needs (retries+1) consecutive fault rolls, so the tier-1
   // suite passes unchanged under the smoke plan.
@@ -175,10 +163,6 @@ Duration FaultPlan::AdjustServiceTime(Duration t) {
     t = SecondsF(t.ToSeconds() * slow);
   }
   t += gc_stall;
-  if (config_.spike_prob > 0.0 && rng_.Bernoulli(config_.spike_prob)) {
-    ++stats_.spikes;
-    t = SecondsF(t.ToSeconds() * config_.spike_factor);
-  }
   return t;
 }
 

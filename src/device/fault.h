@@ -6,8 +6,8 @@
 // order, so a fixed (seed, op sequence) pair always injects the same faults —
 // error-path behavior is as replayable as the happy path.
 //
-// Fault vocabulary (ISSUE: per-op failure probability, transient vs
-// persistent media errors, latency spikes, server down/slow windows):
+// Fault vocabulary (per-op failure probability, transient vs persistent media
+// errors, server down/slow windows, GC stalls):
 //
 //   * probabilistic transient faults — an op fails with `kIo` this attempt;
 //     retrying (controller-level or kernel-level) may succeed.
@@ -18,9 +18,6 @@
 //   * scripted faults — FailNextReads/FailNextWrites force the next N ops to
 //     fail regardless of probabilities; the deterministic backbone of the
 //     error-path tests.
-//   * latency spikes — a successful op's service time is multiplied by
-//     spike_factor with probability spike_prob (tail-latency events, cf. the
-//     SSD read-variability studies in PAPERS.md).
 //   * down/slow windows — clock intervals during which every op fails with
 //     `kUnavailable` (down) or runs `factor` times slower (slow). This is the
 //     paper's NFS-server-down story: while a window is open the device also
@@ -98,9 +95,6 @@ struct FaultPlanConfig {
   // every op while letting the tier-1 suite pass unchanged. Scripted faults,
   // bad ranges, and down windows always escape.
   int controller_retries = 0;
-  // Latency spikes on successful ops.
-  double spike_prob = 0.0;
-  double spike_factor = 8.0;
 };
 
 struct FaultStats {
@@ -108,7 +102,6 @@ struct FaultStats {
   int64_t transient_masked = 0;  // transient rolls hidden by controller retries
   int64_t persistent_marked = 0; // bad ranges installed by probabilistic faults
   int64_t unavailable_hits = 0;  // ops rejected by a down window
-  int64_t spikes = 0;            // successful ops that paid a latency spike
   int64_t gc_stalls = 0;         // successful ops that caught a GC pause
 };
 
@@ -118,9 +111,9 @@ class FaultPlan {
 
   // Builds the environment-default smoke plan for `device_name` when
   // $SLEDS_FAULT_SEED is set and nonzero: transient-only faults (probability
-  // $SLEDS_FAULT_P, default 0.002) masked by 3 controller retries, seeded per
-  // device from the env seed and the device name. Returns nullptr when the
-  // variable is unset or zero.
+  // 0.002 per op) masked by 3 controller retries, seeded per device from the
+  // env seed and the device name. Returns nullptr when the variable is unset
+  // or zero.
   static std::shared_ptr<FaultPlan> FromEnv(std::string_view device_name);
 
   // Windows compare against this clock; without one, window checks are
@@ -143,7 +136,7 @@ class FaultPlan {
   // device-model state change).
   Err Judge(bool write, int64_t offset, int64_t nbytes);
 
-  // Applied to the service time of a successful access (spikes, slow
+  // Applied to the service time of a successful access (slow and GC
   // windows). Never shrinks t.
   Duration AdjustServiceTime(Duration t);
 

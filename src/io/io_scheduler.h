@@ -4,12 +4,14 @@
 //
 // The engine is *lazy*: nothing happens at future times until somebody needs
 // the answer. CatchUp(now) replays, in order, every dispatch decision the
-// device would have made up to `now`; WaitFor() keeps dispatching one queue
-// until a specific request has been serviced (its completion time may be in
-// the caller's future — the kernel sleeps the waiting process to it). Because
-// the simulation is single-threaded and submissions arrive in nondecreasing
-// clock order, a lazy replay makes exactly the decisions an eager event loop
-// would have made — see DESIGN.md §7 for the determinism argument.
+// device would have made up to `now`; ForceDispatch() keeps dispatching one
+// queue, ignoring its busy horizon, until a specific request is no longer
+// pending (its completion time may be in the caller's future — the kernel
+// sleeps the waiting process to it), then catches every queue up to `now`;
+// Drain() dispatches everything pending on every queue. Because the
+// simulation is single-threaded and submissions arrive in nondecreasing clock
+// order, a lazy replay makes exactly the decisions an eager event loop would
+// have made — see DESIGN.md §7 for the determinism argument.
 //
 // Completion delivery: dispatching a batch invokes the queue's dispatch
 // callback (which performs the device access and returns its service time),

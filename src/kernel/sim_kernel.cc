@@ -10,7 +10,6 @@
 
 #include "src/common/log.h"
 #include "src/common/units.h"
-#include "src/progs/progs_env.h"
 
 namespace sled {
 namespace {
@@ -90,8 +89,6 @@ SimKernel::SimKernel(KernelConfig config)
   SLED_CHECK(config_.min_readahead_pages >= 1, "readahead minimum must be >= 1");
   SLED_CHECK(config_.max_readahead_pages >= config_.min_readahead_pages,
              "readahead maximum below minimum");
-  // Process-wide crossing-cost override (cached read; see progs_env.h).
-  config_.costs.syscall_overhead = SyscallCostFromEnv(config_.costs.syscall_overhead);
   obs_.SetLevelName(kMemoryLevel, "memory");
   vfs_.AttachObserver(&obs_);
 }
@@ -282,11 +279,11 @@ void SimKernel::HandleWritebackFailure(const IoRequest& part, TimePoint done) {
   const int next_attempt = part.attempts + 1;
   if (next_attempt >= config_.fault.max_writeback_attempts) {
     stats_.writeback_lost += part.count;
-    obs_.WritebackError(part.file, part.first_page, part.count, /*lost=*/true);
+    obs_.WritebackError(part.file, part.first_page, part.count, /*lost_pages=*/part.count);
     return;
   }
   ++stats_.writeback_retries;
-  obs_.WritebackError(part.file, part.first_page, part.count, /*lost=*/false);
+  obs_.WritebackError(part.file, part.first_page, part.count, /*lost_pages=*/0);
   IoRequest retry = part;
   retry.id = scheduler_.AllocateId();
   retry.attempts = next_attempt;
@@ -1048,21 +1045,22 @@ Result<Duration> SimKernel::FlushWriteback(Process* p, bool force) {
       } else if (t.error() == Err::kIo || t.error() == Err::kTimedOut) {
         // Device/server failure past the immediate retries: the dirty data is
         // only in this queue now, so re-queue each page with backoff until the
-        // attempt cap, past which it counts as lost.
-        bool any_lost = false;
+        // attempt cap, past which it counts as lost. Pages in one run can
+        // carry different attempt counts, so only some of them may be lost.
+        int64_t lost = 0;
         for (size_t k = i; k < j; ++k) {
           WritebackEntry e = batch[k];
           ++e.attempts;
           if (e.attempts >= config_.fault.max_writeback_attempts) {
-            ++stats_.writeback_lost;
-            any_lost = true;
+            ++lost;
             continue;
           }
           ++stats_.writeback_retries;
           e.not_before = now + WritebackBackoff(e.attempts);
           waiting.push_back(e);
         }
-        obs_.WritebackError(fid, first, static_cast<int64_t>(j - i), any_lost);
+        stats_.writeback_lost += lost;
+        obs_.WritebackError(fid, first, static_cast<int64_t>(j - i), lost);
       }
       // Other errors (unlinked file, offline HSM file) drop the pages: the
       // data was already discarded at the content layer.
@@ -1319,7 +1317,7 @@ Duration SimKernel::FlushAllDirty() {
         writeback_queue_.push_back(
             WritebackEntry{key, /*attempts=*/1, clock_.Now() + WritebackBackoff(1)});
         ++stats_.writeback_retries;
-        obs_.WritebackError(key.file, key.page, 1, /*lost=*/false);
+        obs_.WritebackError(key.file, key.page, 1, /*lost_pages=*/0);
       }
       // Other errors (unlinked file, offline HSM file) drop the page: the
       // data was already discarded at the content layer.

@@ -30,9 +30,7 @@ namespace sled {
 // increases are an acceptable price" trade-off (§5.2) visible: SLED scans and
 // extra syscalls cost real (simulated) time.
 struct CpuCosts {
-  // Per-syscall crossing cost. $SLEDS_SYSCALL_COST (nanoseconds, cached once
-  // per process) overrides this at kernel construction; unset keeps the
-  // historical 4 us, so existing BENCH output stays byte-identical.
+  // Per-syscall crossing cost.
   Duration syscall_overhead = Microseconds(4);
   Duration fault_overhead = Microseconds(15);   // per major-fault event
   Duration sled_scan_per_page = Nanoseconds(150);

@@ -217,38 +217,6 @@ std::string MetricRegistry::ToJson() const {
   return out;
 }
 
-std::string MetricRegistry::ToCsv() const {
-  std::string out;
-  for (const auto& [name, value] : counters_) {
-    out += "counter," + name + ",";
-    AppendInt(&out, value);
-    out += "\n";
-  }
-  for (const auto& [name, value] : gauges_) {
-    out += "gauge," + name + ",";
-    AppendInt(&out, value);
-    out += "\n";
-  }
-  for (const auto& [name, h] : histograms_) {
-    out += "histogram," + name + ",";
-    AppendInt(&out, h.count());
-    out += ",";
-    AppendInt(&out, h.sum().nanos());
-    out += ",";
-    AppendInt(&out, h.min().nanos());
-    out += ",";
-    AppendInt(&out, h.max().nanos());
-    out += ",";
-    AppendInt(&out, h.Quantile(0.50).nanos());
-    out += ",";
-    AppendInt(&out, h.Quantile(0.95).nanos());
-    out += ",";
-    AppendInt(&out, h.Quantile(0.99).nanos());
-    out += "\n";
-  }
-  return out;
-}
-
 void MetricRegistry::Reset() {
   counters_.clear();
   gauges_.clear();

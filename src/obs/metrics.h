@@ -101,10 +101,6 @@ class MetricRegistry {
   // {"counters": {...}, "histograms": {name: {count, sum_ns, min_ns, max_ns,
   // p50_ns, p95_ns, p99_ns}, ...}} — integers only, keys sorted.
   std::string ToJson() const;
-  // One record per line:
-  //   counter,<name>,<value>
-  //   histogram,<name>,<count>,<sum_ns>,<min_ns>,<max_ns>,<p50_ns>,<p95_ns>,<p99_ns>
-  std::string ToCsv() const;
 
   void Reset();
 

@@ -278,10 +278,11 @@ void Observer::IoRetry(int pid, uint64_t file, int attempt, Err error) {
   trace_.Push(std::move(e));
 }
 
-void Observer::WritebackError(uint64_t file, int64_t first_page, int64_t pages, bool lost) {
+void Observer::WritebackError(uint64_t file, int64_t first_page, int64_t pages,
+                              int64_t lost_pages) {
   metrics_.Add("kernel.writeback_errors");
-  if (lost) {
-    metrics_.Add("kernel.writeback_lost", pages);
+  if (lost_pages > 0) {
+    metrics_.Add("kernel.writeback_lost", lost_pages);
   }
   TraceRecord e;
   e.at = clock_->Now();
@@ -289,7 +290,7 @@ void Observer::WritebackError(uint64_t file, int64_t first_page, int64_t pages, 
   e.file = file;
   e.a = first_page;
   e.b = pages;
-  e.level = lost ? 1 : 0;  // repurposed: 1 = pages dropped past the attempt cap
+  e.level = lost_pages > 0 ? 1 : 0;  // repurposed: 1 = pages dropped past the attempt cap
   trace_.Push(std::move(e));
 }
 

@@ -77,9 +77,9 @@ class Observer {
   void DeviceError(std::string_view device, bool write, Err error);
   // The kernel re-issued a failed store transfer; `attempt` counts from 1.
   void IoRetry(int pid, uint64_t file, int attempt, Err error);
-  // A writeback run failed and its pages were re-queued (or, past the
-  // attempt cap, counted lost).
-  void WritebackError(uint64_t file, int64_t first_page, int64_t pages, bool lost);
+  // A writeback run of `pages` pages failed: `lost_pages` of them reached the
+  // attempt cap and were dropped, the rest were re-queued.
+  void WritebackError(uint64_t file, int64_t first_page, int64_t pages, int64_t lost_pages);
 
   // ---- replication hooks (fire only on a replicated mount) ----
   // A read run failed over to `replica` after better-ranked copies were

@@ -3,13 +3,11 @@
 // wheel's O(1) paths over. A std::priority_queue ordered by
 // (deadline, schedule sequence) — exactly the wheel's contract: nondecreasing
 // deadline, FIFO among ties, past deadlines clamped to the current time.
-// Cancellation is lazy (a tombstone set), the standard binary-heap idiom.
 #ifndef SLEDS_SRC_OPENLOAD_HEAP_SCHED_H_
 #define SLEDS_SRC_OPENLOAD_HEAP_SCHED_H_
 
 #include <cstdint>
 #include <queue>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -18,33 +16,17 @@ namespace sled {
 template <typename T>
 class HeapScheduler {
  public:
-  using Handle = uint64_t;  // the schedule sequence number
-
   void Reserve(size_t timers) { storage_.reserve(timers); }
 
   uint64_t now() const { return now_; }
-  size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
+  size_t size() const { return heap_.size(); }
+  bool empty() const { return heap_.empty(); }
 
-  Handle Schedule(uint64_t deadline, T payload) {
+  void Schedule(uint64_t deadline, T payload) {
     if (deadline < now_) {
       deadline = now_;
     }
-    const uint64_t seq = next_seq_++;
-    heap_.push(Entry{deadline, seq, std::move(payload)});
-    ++size_;
-    return seq;
-  }
-
-  // Lazy tombstone cancel. Unlike the wheel, the oracle does not detect a
-  // handle that already fired — callers must only cancel live handles (the
-  // differential test tracks liveness itself). Double-cancel returns false.
-  bool Cancel(Handle h) {
-    if (h >= next_seq_ || !dead_.insert(h).second) {
-      return false;
-    }
-    --size_;
-    return true;
+    heap_.push(Entry{deadline, next_seq_++, std::move(payload)});
   }
 
   template <typename Fn>
@@ -55,11 +37,7 @@ class HeapScheduler {
     while (!heap_.empty() && heap_.top().deadline <= t) {
       Entry e = heap_.top();
       heap_.pop();
-      if (dead_.erase(e.seq) > 0) {
-        continue;  // canceled
-      }
       now_ = e.deadline;
-      --size_;
       fn(e.deadline, e.payload);
     }
     if (now_ < t) {
@@ -81,10 +59,8 @@ class HeapScheduler {
 
   std::vector<Entry> storage_;
   std::priority_queue<Entry, std::vector<Entry>, Later> heap_{Later{}, std::move(storage_)};
-  std::unordered_set<uint64_t> dead_;  // tombstones for canceled sequences
   uint64_t next_seq_ = 1;
   uint64_t now_ = 0;
-  size_t size_ = 0;
 };
 
 }  // namespace sled

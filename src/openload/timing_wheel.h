@@ -10,7 +10,7 @@
 // three random slab touches per event total (place, cascade, fire) — where
 // 256-slot levels would cost five. Timers live in a preallocated slab with
 // intrusive int32 doubly-linked list links — steady-state operation
-// (schedule, cancel, cascade, expire) allocates nothing; the slab grows only
+// (schedule, cascade, expire) allocates nothing; the slab grows only
 // when the live-timer high-water mark does. Per-level two-tier occupancy
 // bitmaps (a summary bit per 64-slot word) let an expiry sweep jump straight
 // from one occupied slot start to the next, so advancing across seconds of
@@ -24,9 +24,10 @@
 //   * Deadlines in the past are clamped to the current wheel time: a timer
 //     never fires before it is scheduled, and never earlier than a
 //     previously fired time (wheel time is monotone).
-//   * Callbacks may Schedule and Cancel freely; a timer scheduled for the
-//     current instant from inside a callback fires in the same sweep, after
-//     the batch it was scheduled from — exactly where the oracle puts it.
+//   * Callbacks may Schedule freely; a timer scheduled for the current
+//     instant from inside a callback fires in the same sweep, after the batch
+//     it was scheduled from — exactly where the oracle puts it.
+//   * A scheduled timer always fires; there is no cancellation.
 #ifndef SLEDS_SRC_OPENLOAD_TIMING_WHEEL_H_
 #define SLEDS_SRC_OPENLOAD_TIMING_WHEEL_H_
 
@@ -42,10 +43,6 @@ namespace sled {
 template <typename T>
 class TimingWheel {
  public:
-  // (generation << 32 | slab index). Generations start at 1 and bump on every
-  // free, so a stale handle (fired or canceled timer) never matches.
-  using Handle = uint64_t;
-
   static constexpr int kSlotBits = 16;
   static constexpr int kSlots = 1 << kSlotBits;     // 65536 slots per level
   static constexpr int kLevels = 3;                  // 2^48 ns direct horizon
@@ -78,7 +75,7 @@ class TimingWheel {
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  Handle Schedule(uint64_t deadline, T payload) {
+  void Schedule(uint64_t deadline, T payload) {
     if (deadline < now_) {
       deadline = now_;
     }
@@ -89,27 +86,10 @@ class TimingWheel {
     n.payload = std::move(payload);
     Place(idx);
     ++size_;
-    return (static_cast<uint64_t>(n.gen) << 32) | static_cast<uint32_t>(idx);
-  }
-
-  // O(1). False when the handle's timer already fired or was canceled.
-  bool Cancel(Handle h) {
-    const int32_t idx = static_cast<int32_t>(h & 0xffffffffu);
-    if (idx < 0 || static_cast<size_t>(idx) >= slab_.size()) {
-      return false;
-    }
-    Node& n = slab_[static_cast<size_t>(idx)];
-    if (n.gen != static_cast<uint32_t>(h >> 32)) {
-      return false;
-    }
-    Unlink(idx);
-    Free(idx);
-    --size_;
-    return true;
   }
 
   // Advance wheel time to `t`, invoking fn(deadline, payload) for every timer
-  // with deadline <= t (order documented above). fn may call Schedule/Cancel.
+  // with deadline <= t (order documented above). fn may call Schedule.
   template <typename Fn>
   void ExpireUpTo(uint64_t t, Fn&& fn) {
     if (t < now_) {
@@ -133,9 +113,8 @@ class TimingWheel {
         // the batch and fire it in schedule-sequence order (the oracle's tie
         // rule); timers the callbacks add to this slot land in the emptied
         // list and form the next batch — after this one, like the oracle's
-        // larger sequence numbers. Canceled-mid-batch nodes are skipped via
-        // their generation. Slot batches are almost always a single node, so
-        // the sort is a no-op in the common case.
+        // larger sequence numbers. Slot batches are almost always a single
+        // node, so the sort is a no-op in the common case.
         int32_t idx;
         while ((idx = slots_[0][s].head) != kNil) {
           if (slab_[static_cast<size_t>(idx)].next == kNil) {
@@ -152,16 +131,12 @@ class TimingWheel {
           }
           batch_.clear();
           for (; idx != kNil; idx = slab_[static_cast<size_t>(idx)].next) {
-            batch_.push_back(BatchEntry{seq_[static_cast<size_t>(idx)], idx,
-                                        slab_[static_cast<size_t>(idx)].gen});
+            batch_.push_back(BatchEntry{seq_[static_cast<size_t>(idx)], idx});
           }
           std::sort(batch_.begin(), batch_.end(),
                     [](const BatchEntry& a, const BatchEntry& b) { return a.seq < b.seq; });
           for (const BatchEntry& e : batch_) {
             Node& n = slab_[static_cast<size_t>(e.idx)];
-            if (n.gen != e.gen) {
-              continue;  // canceled by an earlier callback in this batch
-            }
             Unlink(e.idx);
             const uint64_t deadline = n.deadline;
             T payload = std::move(n.payload);
@@ -198,14 +173,13 @@ class TimingWheel {
 
   // The global schedule sequence (the tie-break rule for fires) lives in the
   // parallel `seq_` array, not here: it is only read on the rare multi-node
-  // slot batch, and keeping it cold holds an int32-payload node to 32 bytes —
-  // two nodes per cache line on the cascade walk, the hot loop's one
+  // slot batch, and keeping it cold holds an int32-payload node to 24 bytes —
+  // under three nodes per cache line on the cascade walk, the hot loop's one
   // unavoidable pointer chase.
   struct Node {
     uint64_t deadline = 0;
     int32_t prev = kNil;
     int32_t next = kNil;
-    uint32_t gen = 1;
     uint16_t level = 0;
     uint16_t slot = 0;
     T payload{};
@@ -214,7 +188,6 @@ class TimingWheel {
   struct BatchEntry {
     uint64_t seq;
     int32_t idx;
-    uint32_t gen;
   };
 
   static constexpr uint64_t SpanOf(int level) {
@@ -233,9 +206,7 @@ class TimingWheel {
   }
 
   void Free(int32_t idx) {
-    Node& n = slab_[static_cast<size_t>(idx)];
-    ++n.gen;  // invalidate outstanding handles
-    n.next = free_head_;
+    slab_[static_cast<size_t>(idx)].next = free_head_;
     free_head_ = idx;
   }
 

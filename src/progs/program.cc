@@ -71,7 +71,7 @@ Result<CompletionProgram> CompletionProgram::Create(const ProgSpec& spec) {
     case ProgKind::kCount:
       break;
     case ProgKind::kChainWalk:
-      if (spec.block_bytes < 16 || spec.start_offset < 0) {
+      if (spec.block_bytes < 16) {
         return Err::kInval;
       }
       break;
@@ -119,14 +119,12 @@ CompletionProgram::Action CompletionProgram::Start(int64_t file_size) {
     case ProgKind::kCount:
       return Action{.kind = Action::Kind::kNext};
     case ProgKind::kChainWalk: {
-      if (spec_.start_offset + spec_.block_bytes > file_size_) {
+      if (spec_.block_bytes > file_size_) {
         return Abort(ProgStatus::kFaulted);
       }
       // The head block is the installed first read, not a chained one: a
       // resubmit count of N means N completions fed the *next* hop.
-      return Action{.kind = Action::Kind::kSeek,
-                    .offset = spec_.start_offset,
-                    .length = spec_.block_bytes};
+      return Action{.kind = Action::Kind::kSeek, .offset = 0, .length = spec_.block_bytes};
     }
     case ProgKind::kHistogram: {
       cursor_ = spec_.data_offset;

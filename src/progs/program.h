@@ -83,8 +83,7 @@ struct ProgSpec {
   bool order_by_sleds = false;
   RankBy rank_by = RankBy::kMean;
 
-  // kChainWalk: offset of the head block and the fixed block size.
-  int64_t start_offset = 0;
+  // kChainWalk: the fixed block size; the head block is at offset 0.
   int64_t block_bytes = kPageSize;
 
   // kHistogram: FITS-style data unit geometry. bitpix in {8,16,32,-32,-64}.

@@ -182,7 +182,7 @@ Result<int64_t> ReplicatedFs::ReplicaAddressOf(int replica, InodeNum ino, int64_
 Result<Duration> ReplicatedFs::ReadRun(InodeNum ino, int64_t first_page, int64_t run) {
   const int64_t stripe = StripeOf(first_page);
   const int64_t nbytes = run * kPageSize;
-  const std::vector<Candidate> cands = CandidatesFor(ino, stripe, config_.route_rank_by);
+  const std::vector<Candidate> cands = CandidatesFor(ino, stripe, RankBy::kMean);
   if (cands.empty()) {
     return Err::kIo;  // no surviving copy
   }
@@ -333,7 +333,7 @@ Result<Duration> ReplicatedFs::BackgroundMaintenance() {
         // Re-copy from the best-ranked clean replica (r itself is stale, so
         // it is never a candidate).
         bool synced = false;
-        for (const Candidate& c : CandidatesFor(ino, stripe, config_.route_rank_by)) {
+        for (const Candidate& c : CandidatesFor(ino, stripe, RankBy::kMean)) {
           if (c.unreachable) {
             break;  // candidates are sorted: no reachable source remains
           }

@@ -62,15 +62,11 @@ struct ReplicatedFsConfig {
   int replication_min = 1;
   // Hedge reads: when the chosen replica's service time exceeds its
   // p99-derived deadline, issue the read to the second-ranked replica too
-  // and pay min(straggler, deadline + hedge). $SLEDS_HEDGE_P99=1 turns this
-  // on for the shell and benches.
+  // and pay min(straggler, deadline + hedge).
   bool hedge_reads = false;
   // Deadline = hedge_deadline_factor * (health-adjusted p99 first-byte
   // latency) + transfer time at the health-adjusted bandwidth.
   double hedge_deadline_factor = 1.0;
-  // The statistic the *data plane* routes by (LevelOf, reads). SLED
-  // consumers route per their own rank_by via RouteLevelOf regardless.
-  RankBy route_rank_by = RankBy::kMean;
 };
 
 // Running replication counters, for tests and the bench harness.
@@ -92,8 +88,10 @@ class ReplicatedFs final : public FileSystem {
   // ---- FileSystem data plane ----
   Result<Duration> ReadPagesFromStore(InodeNum ino, int64_t first_page, int64_t count) override;
   Result<Duration> WritePagesToStore(InodeNum ino, int64_t first_page, int64_t count) override;
+  // The data plane (LevelOf, reads) routes by the mean; SLED consumers route
+  // per their own rank_by via RouteLevelOf.
   int LevelOf(InodeNum ino, int64_t page) const override {
-    return RouteLevelOf(ino, page, config_.route_rank_by);
+    return RouteLevelOf(ino, page, RankBy::kMean);
   }
   int RouteLevelOf(InodeNum ino, int64_t page, RankBy rank_by) const override;
   int64_t LevelRunLen(InodeNum /*ino*/, int64_t page, int64_t max_pages) const override {

@@ -199,22 +199,6 @@ TEST(RngTest, UniformBounds) {
   }
 }
 
-TEST(RngTest, ForkProducesIndependentStream) {
-  Rng a(99);
-  Rng child = a.Fork();
-  // Not a statistical test; just ensure both streams are usable and distinct
-  // from a fresh parent-seeded stream.
-  Rng fresh(99);
-  (void)fresh.Uniform(0, 1 << 30);  // consumed by Fork() in `a`
-  bool any_diff = false;
-  for (int i = 0; i < 16; ++i) {
-    if (child.Uniform(0, 1 << 30) != fresh.Uniform(0, 1 << 30)) {
-      any_diff = true;
-    }
-  }
-  EXPECT_TRUE(any_diff);
-}
-
 TEST(AsciiPlotTest, RendersSeriesAndLegend) {
   PlotSeries s1{"with", '+', {0, 1, 2, 3}, {0, 1, 4, 9}};
   PlotSeries s2{"without", 'x', {0, 1, 2, 3}, {0, 2, 8, 18}};

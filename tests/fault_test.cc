@@ -32,11 +32,13 @@ struct World {
   std::shared_ptr<FaultPlan> plan;
 };
 
-World MakeDiskWorld(IoMode mode, int64_t cache_pages = 1024, int readahead = 0) {
+World MakeDiskWorld(IoMode mode, int64_t cache_pages = 1024, int readahead = 0,
+                    int max_writeback_attempts = FaultToleranceConfig{}.max_writeback_attempts) {
   World w;
   KernelConfig config;
   config.io.mode = mode;
   config.cache.capacity_pages = cache_pages;
+  config.fault.max_writeback_attempts = max_writeback_attempts;
   if (readahead > 0) {
     config.min_readahead_pages = readahead;
     config.max_readahead_pages = readahead;
@@ -267,6 +269,23 @@ TEST(FaultKernelTest, WritebackGivesUpPastAttemptCapWithoutHanging) {
   WriteFile(w, "/f", 32 * kPageSize);
   w.kernel->FlushAllDirty();
   EXPECT_GT(w.kernel->stats().writeback_lost, 0);
+}
+
+TEST(FaultKernelTest, SyncWritebackRunCountsOnlyItsDroppedPagesLost) {
+  // A 16-page cache holding a 20-page file queues pages 0-3 for writeback
+  // (attempt 0). FlushAllDirty writes pages 4-19 one by one; page 4 sits on
+  // bad media, fails and is queued with attempt 1. The forced drain then
+  // writes pages 0-4 as one run, which fails: with a cap of 2 attempts only
+  // page 4 is dropped, pages 0-3 are re-queued and written on the next pass.
+  World w = MakeDiskWorld(IoMode::kFifoSync, /*cache_pages=*/16, /*readahead=*/0,
+                          /*max_writeback_attempts=*/2);
+  WriteFile(w, "/f", 20 * kPageSize);
+  const InodeNum ino = w.kernel->vfs().Resolve("/f").value().ino;
+  w.plan->AddBadRange(w.fs->DeviceAddressOf(ino, 4), kPageSize);
+  w.kernel->FlushAllDirty();
+  EXPECT_EQ(w.kernel->stats().writeback_lost, 1);
+  EXPECT_EQ(w.kernel->obs().metrics().counter("kernel.writeback_lost"),
+            w.kernel->stats().writeback_lost);
 }
 
 // ---- SLEDs / picker degradation ----

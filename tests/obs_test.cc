@@ -71,13 +71,8 @@ TEST(MetricRegistryTest, CountersAccumulateAndExportSorted) {
   // Sorted keys: "a.one" appears before "b.two".
   EXPECT_LT(json.find("\"a.one\""), json.find("\"b.two\""));
   EXPECT_NE(json.find("\"lat\""), std::string::npos);
-  const std::string csv = m.ToCsv();
-  EXPECT_NE(csv.find("counter,a.one,1\n"), std::string::npos);
-  EXPECT_NE(csv.find("counter,b.two,5\n"), std::string::npos);
-  EXPECT_NE(csv.find("histogram,lat,1,10000,10000,10000,"), std::string::npos);
   // Identical state exports identical bytes.
   EXPECT_EQ(json, m.ToJson());
-  EXPECT_EQ(csv, m.ToCsv());
 }
 
 TEST(TraceRingTest, DropsOldestAndKeepsGlobalSequence) {
@@ -187,7 +182,7 @@ TEST(ObserverKernelTest, IdenticalRunsAreByteIdentical) {
   EXPECT_EQ(a.kernel->clock().Now().since_epoch().nanos(),
             b.kernel->clock().Now().since_epoch().nanos());
   EXPECT_EQ(a.kernel->obs().MetricsJson(), b.kernel->obs().MetricsJson());
-  EXPECT_EQ(a.kernel->obs().metrics().ToCsv(), b.kernel->obs().metrics().ToCsv());
+  EXPECT_EQ(a.kernel->obs().metrics().ToJson(), b.kernel->obs().metrics().ToJson());
   EXPECT_EQ(a.kernel->obs().trace().DumpCsv(), b.kernel->obs().trace().DumpCsv());
 }
 
@@ -209,7 +204,7 @@ TEST(ObserverKernelTest, TracingAndExportCostZeroSimulatedTime) {
   const int64_t before = b.kernel->clock().Now().since_epoch().nanos();
   (void)b.kernel->obs().MetricsJson();
   (void)b.kernel->obs().trace().DumpCsv();
-  (void)b.kernel->obs().metrics().ToCsv();
+  (void)b.kernel->obs().metrics().ToJson();
   EXPECT_EQ(b.kernel->clock().Now().since_epoch().nanos(), before);
 }
 

@@ -4,16 +4,14 @@
 // The hierarchical timing wheel's semantics are pinned against a
 // (deadline, sequence)-ordered binary-heap oracle under a randomized op mix
 // that exercises every structural regime: level-0 wraparound, multi-level
-// cascades, far-future overflow parking, past-deadline clamping, and O(1)
-// cancellation. The arrival processes get statistical sanity checks at fixed
-// seeds (empirical rates against configured rates), and the engine itself is
+// cascades, far-future overflow parking and past-deadline clamping. The
+// arrival processes get statistical sanity checks at fixed seeds (empirical
+// rates against configured rates), and the engine itself is
 // checked for scheduler-independence (wheel == heap), run-to-run determinism,
 // and shard-count invariance through the ObsAccumulator merge path.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "src/openload/arrival.h"
@@ -39,18 +37,12 @@ TEST(TimingWheelDiff, RandomizedAgainstHeapOracle) {
     uint64_t rng = seed;
     TimingWheel<int32_t> wheel;
     HeapScheduler<int32_t> heap;
-    // id -> (wheel handle, heap handle); erased on fire or cancel.
-    std::unordered_map<int32_t, std::pair<uint64_t, uint64_t>> live;
-    std::vector<int32_t> ids;  // may contain already-fired ids; lazily pruned
     uint64_t now = 0;
     int32_t next_id = 0;
     std::vector<Fired> wheel_fired;
     std::vector<Fired> heap_fired;
     auto expire_both = [&](uint64_t t) {
-      wheel.ExpireUpTo(t, [&](uint64_t d, int32_t p) {
-        wheel_fired.push_back({d, p});
-        live.erase(p);
-      });
+      wheel.ExpireUpTo(t, [&](uint64_t d, int32_t p) { wheel_fired.push_back({d, p}); });
       heap.ExpireUpTo(t, [&](uint64_t d, int32_t p) { heap_fired.push_back({d, p}); });
       ASSERT_EQ(wheel_fired.size(), heap_fired.size());
       for (size_t i = 0; i < wheel_fired.size(); ++i) {
@@ -81,24 +73,9 @@ TEST(TimingWheelDiff, RandomizedAgainstHeapOracle) {
           // The past: both schedulers clamp to their current time.
           deadline = now - (now > 0 ? OpenLoadRandom(&rng) % now : 0);
         }
-        live[next_id] = {wheel.Schedule(deadline, next_id), heap.Schedule(deadline, next_id)};
-        ids.push_back(next_id);
+        wheel.Schedule(deadline, next_id);
+        heap.Schedule(deadline, next_id);
         ++next_id;
-      } else if (roll < 70 && !ids.empty()) {
-        // Cancel a random still-live timer (skipping fired ids lazily).
-        while (!ids.empty()) {
-          const size_t i = OpenLoadRandom(&rng) % ids.size();
-          const int32_t id = ids[i];
-          ids[i] = ids.back();
-          ids.pop_back();
-          auto it = live.find(id);
-          if (it != live.end()) {
-            EXPECT_TRUE(wheel.Cancel(it->second.first));
-            EXPECT_TRUE(heap.Cancel(it->second.second));
-            live.erase(it);
-            break;
-          }
-        }
       } else {
         const int shift = static_cast<int>(OpenLoadRandom(&rng) % 30);
         now += OpenLoadRandom(&rng) % (uint64_t{1} << shift) + 1;
@@ -131,19 +108,6 @@ TEST(TimingWheelDiff, FifoAmongEqualDeadlines) {
     });
     EXPECT_EQ(expect, 100);
   }
-}
-
-TEST(TimingWheelDiff, StaleHandlesNeverCancel) {
-  TimingWheel<int32_t> wheel;
-  const auto h = wheel.Schedule(10, 1);
-  int fired = 0;
-  wheel.ExpireUpTo(20, [&](uint64_t, int32_t) { ++fired; });
-  EXPECT_EQ(fired, 1);
-  EXPECT_FALSE(wheel.Cancel(h));  // already fired
-  const auto h2 = wheel.Schedule(30, 2);
-  EXPECT_TRUE(wheel.Cancel(h2));
-  EXPECT_FALSE(wheel.Cancel(h2));  // double cancel
-  EXPECT_TRUE(wheel.empty());
 }
 
 // A callback scheduling for the current instant joins the same sweep, after
