@@ -2,11 +2,11 @@
 //
 // Phase A — scheduler: one world, synthetic service, a full million-client
 // population (one pending arrival per client, always) driven through the
-// hierarchical timing wheel and through the binary-heap reference. Before any
-// timing, the two runs' world results — every counter, the order-sensitive
-// completion checksum, and the full latency histogram — are asserted
-// identical, so the wall-clock ratio compares identical work. The perf gate
-// tracks `wheel_1m.speedup` (heap wall / wheel wall).
+// engine's (deadline, sequence) heap scheduler. Before any timing, two runs'
+// world results — every counter, the order-sensitive completion checksum, and
+// the full latency histogram — are asserted identical, and every timed run
+// must reproduce them. It reports the best wall time and events per
+// microsecond; it is not gated.
 //
 // Phase B — scenarios: open-loop traffic against real SimKernel worlds on
 // the shard runtime, one scenario per arrival pattern (plus an NFS device
@@ -69,7 +69,7 @@ struct LoopBenchConfig {
   }
 };
 
-OpenLoadConfig SchedulerConfig(const LoopBenchConfig& bench, SchedulerKind scheduler) {
+OpenLoadConfig SchedulerConfig(const LoopBenchConfig& bench) {
   OpenLoadConfig c;
   c.clients = bench.clients;
   c.worlds = 1;
@@ -79,58 +79,46 @@ OpenLoadConfig SchedulerConfig(const LoopBenchConfig& bench, SchedulerKind sched
   c.per_client_rps = bench.rate;
   // Phase A measures the scheduler, not simulated queueing: ~rate arrivals
   // per client over one simulated second keeps every client's timer cycling
-  // through schedule -> cascade -> expire while the population stays at
-  // exactly `clients` pending timers throughout.
+  // through schedule -> expire while the population stays at exactly
+  // `clients` pending timers throughout.
   c.horizon_s = 1.0;
-  c.scheduler = scheduler;
   c.seed = 4242;
   return c;
 }
 
-double BestWallMicros(const OpenLoadConfig& c, int repeats, const OpenLoadWorldResult& expect) {
-  double best = std::numeric_limits<double>::infinity();
-  for (int i = 0; i < repeats; ++i) {
+std::string SchedulerPhase(const LoopBenchConfig& bench) {
+  const OpenLoadConfig c = SchedulerConfig(bench);
+
+  // Identity first: two runs must agree bucket for bucket before the wall
+  // clock means anything.
+  const OpenLoadWorldResult expect = RunOpenLoadWorld(c, 0, nullptr);
+  SLED_CHECK(RunOpenLoadWorld(c, 0, nullptr) == expect,
+             "phase A is not deterministic at %lld clients",
+             static_cast<long long>(bench.clients));
+  SLED_CHECK(expect.clients == bench.clients && expect.arrivals > bench.clients,
+             "phase A underran its population");
+  std::fprintf(stderr, "  identity ok: %lld clients, %lld arrivals, checksum %016llx\n",
+               static_cast<long long>(expect.clients), static_cast<long long>(expect.arrivals),
+               static_cast<unsigned long long>(expect.checksum));
+
+  double wall_us = std::numeric_limits<double>::infinity();
+  for (int i = 0; i < bench.repeats; ++i) {
     const auto t0 = std::chrono::steady_clock::now();
     const OpenLoadWorldResult r = RunOpenLoadWorld(c, 0, nullptr);
     const auto t1 = std::chrono::steady_clock::now();
     SLED_CHECK(r == expect, "timed run diverged from the asserted result");
-    best = std::min(best, std::chrono::duration<double, std::micro>(t1 - t0).count());
+    wall_us = std::min(wall_us, std::chrono::duration<double, std::micro>(t1 - t0).count());
   }
-  return best;
-}
+  const double events_per_us = static_cast<double>(expect.arrivals) / wall_us;
+  std::fprintf(stderr, "  scheduler %.0f us (%.1f M events/s)\n", wall_us, events_per_us);
 
-std::string SchedulerPhase(const LoopBenchConfig& bench) {
-  const OpenLoadConfig wheel_c = SchedulerConfig(bench, SchedulerKind::kWheel);
-  const OpenLoadConfig heap_c = SchedulerConfig(bench, SchedulerKind::kHeap);
-
-  // Identity first: the wheel's result must match the heap oracle's, bucket
-  // for bucket, before either wall clock means anything.
-  const OpenLoadWorldResult wheel_r = RunOpenLoadWorld(wheel_c, 0, nullptr);
-  const OpenLoadWorldResult heap_r = RunOpenLoadWorld(heap_c, 0, nullptr);
-  SLED_CHECK(wheel_r == heap_r, "wheel diverged from heap oracle at %lld clients",
-             static_cast<long long>(bench.clients));
-  SLED_CHECK(wheel_r.clients == bench.clients && wheel_r.arrivals > bench.clients,
-             "phase A underran its population");
-  std::fprintf(stderr,
-               "  identity ok: %lld clients, %lld arrivals, checksum %016llx (wheel == heap)\n",
-               static_cast<long long>(wheel_r.clients), static_cast<long long>(wheel_r.arrivals),
-               static_cast<unsigned long long>(wheel_r.checksum));
-
-  const double wheel_us = BestWallMicros(wheel_c, bench.repeats, wheel_r);
-  const double heap_us = BestWallMicros(heap_c, bench.repeats, heap_r);
-  const double speedup = wheel_us > 0 ? heap_us / wheel_us : 0;
-  const double wheel_meps =
-      wheel_us > 0 ? static_cast<double>(wheel_r.arrivals) / wheel_us : 0;
-  std::fprintf(stderr, "  wheel %.0f us (%.1f M events/s), heap %.0f us, speedup %.2fx\n",
-               wheel_us, wheel_meps, heap_us, speedup);
-
-  char block[512];
+  char block[320];
   std::snprintf(block, sizeof(block),
-                "  \"wheel_1m\": {\"clients\": %lld, \"concurrent_timers\": %lld, "
-                "\"events\": %lld, \"wheel_wall_us\": %.1f, \"heap_wall_us\": %.1f, "
-                "\"wheel_events_per_us\": %.2f, \"identical\": 1, \"speedup\": %.2f},\n",
+                "  \"sched_1m\": {\"clients\": %lld, \"concurrent_timers\": %lld, "
+                "\"events\": %lld, \"wall_us\": %.1f, \"events_per_us\": %.2f, "
+                "\"identical\": 1},\n",
                 static_cast<long long>(bench.clients), static_cast<long long>(bench.clients),
-                static_cast<long long>(wheel_r.arrivals), wheel_us, heap_us, wheel_meps, speedup);
+                static_cast<long long>(expect.arrivals), wall_us, events_per_us);
   return block;
 }
 

@@ -83,8 +83,9 @@ else
   # results byte-identical to the single-shard oracle) before timing.
   SLEDS_BENCH_JSON_DIR="${perf_json_dir}" timeout 600 \
     ./build-release/bench/bench_shard
-  # bench_openloop asserts wheel-vs-heap identity at the full million-client
-  # population before timing either scheduler.
+  # bench_openloop asserts that two runs of the full million-client
+  # population agree before timing the scheduler; its wall time is reported,
+  # not gated.
   SLEDS_BENCH_JSON_DIR="${perf_json_dir}" timeout 600 \
     ./build-release/bench/bench_openloop
   # bench_replica exits nonzero unless the rebuild storm re-syncs fully and

@@ -15,7 +15,6 @@ Refresh the baselines after an intentional perf change:
         --benchmark_filter='BM_PageCacheTouchHit'
     SLEDS_BENCH_JSON_DIR=/tmp/bj ./build-release/bench/bench_scale
     SLEDS_BENCH_JSON_DIR=/tmp/bj ./build-release/bench/bench_shard
-    SLEDS_BENCH_JSON_DIR=/tmp/bj ./build-release/bench/bench_openloop
     SLEDS_BENCH_JSON_DIR=/tmp/bj ./build-release/bench/bench_replica
     SLEDS_BENCH_JSON_DIR=/tmp/bj ./build-release/bench/bench_progs
     scripts/perf_gate.py --refresh /tmp/bj
@@ -102,7 +101,7 @@ def refresh(json_dir, baselines_path):
         "--refresh-accuracy <json_dir>" % (TOLERANCE, ACCURACY_TOLERANCE)
     )
     payload["benches"] = collect(
-        json_dir, ["micro", "scale", "shard", "openloop", "replica", "progs"]
+        json_dir, ["micro", "scale", "shard", "replica", "progs"]
     )
     write_baselines(payload, baselines_path)
 

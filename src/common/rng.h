@@ -9,6 +9,24 @@
 
 namespace sled {
 
+// splitmix64 (Steele, Lea and Flood): the golden-ratio increment followed by
+// the finaliser. A cheap, well-mixed hash that is stable across platforms,
+// used for seed derivation, shard placement, checksums and the open-loop
+// engine's 8-byte per-client streams.
+constexpr uint64_t SplitMix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+// An independent stream seed for `salt` under `base`. Chaining through
+// SplitMix64 keeps neighbouring salts decorrelated while staying a pure
+// function of the inputs.
+constexpr uint64_t DeriveSeed(uint64_t base, uint64_t salt) {
+  return SplitMix64(base ^ SplitMix64(salt));
+}
+
 class Rng {
  public:
   explicit Rng(uint64_t seed) : engine_(seed) {}

@@ -1,6 +1,7 @@
 #include "src/fs/vfs.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/common/log.h"
 #include "src/obs/observer.h"
@@ -33,9 +34,7 @@ Result<std::vector<std::string>> Vfs::SplitPath(std::string_view path) {
   return components;
 }
 
-Result<uint32_t> Vfs::Mount(std::string path, std::unique_ptr<FileSystem> fs) {
-  SLED_CHECK(fs != nullptr, "Mount of null file system");
-  SLED_ASSIGN_OR_RETURN(std::vector<std::string> components, SplitPath(path));
+std::string Vfs::JoinPath(const std::vector<std::string>& components) {
   std::string normalized = "/";
   for (size_t i = 0; i < components.size(); ++i) {
     normalized += components[i];
@@ -43,6 +42,13 @@ Result<uint32_t> Vfs::Mount(std::string path, std::unique_ptr<FileSystem> fs) {
       normalized += '/';
     }
   }
+  return normalized;
+}
+
+Result<uint32_t> Vfs::Mount(std::string path, std::unique_ptr<FileSystem> fs) {
+  SLED_CHECK(fs != nullptr, "Mount of null file system");
+  SLED_ASSIGN_OR_RETURN(std::vector<std::string> components, SplitPath(path));
+  const std::string normalized = JoinPath(components);
   for (const MountEntry& m : mounts_) {
     if (m.path == normalized) {
       return Err::kExist;
@@ -50,6 +56,7 @@ Result<uint32_t> Vfs::Mount(std::string path, std::unique_ptr<FileSystem> fs) {
   }
   MountEntry entry;
   entry.path = normalized;
+  entry.components = std::move(components);
   entry.fs_id = next_fs_id_++;
   entry.fs = std::move(fs);
   if (obs_ != nullptr) {
@@ -70,24 +77,9 @@ Result<uint32_t> Vfs::Mount(std::string path, std::unique_ptr<FileSystem> fs) {
 const Vfs::MountEntry* Vfs::FindMount(const std::vector<std::string>& components,
                                       size_t* consumed) const {
   for (const MountEntry& m : mounts_) {
-    // Split the mount path into components for comparison.
-    std::vector<std::string> mcomp;
-    if (m.path != "/") {
-      size_t i = 1;
-      while (i <= m.path.size()) {
-        size_t j = m.path.find('/', i);
-        if (j == std::string::npos) {
-          j = m.path.size();
-        }
-        mcomp.emplace_back(m.path.substr(i, j - i));
-        i = j + 1;
-      }
-    }
-    if (mcomp.size() > components.size()) {
-      continue;
-    }
-    if (std::equal(mcomp.begin(), mcomp.end(), components.begin())) {
-      *consumed = mcomp.size();
+    if (m.components.size() <= components.size() &&
+        std::equal(m.components.begin(), m.components.end(), components.begin())) {
+      *consumed = m.components.size();
       return &m;
     }
   }
@@ -161,13 +153,7 @@ Result<std::vector<DirEntry>> Vfs::List(std::string_view path) const {
   // Mount points that are direct children of this directory appear in the
   // listing (as directories), exactly as on a real system.
   SLED_ASSIGN_OR_RETURN(std::vector<std::string> components, SplitPath(path));
-  std::string normalized = "/";
-  for (size_t i = 0; i < components.size(); ++i) {
-    normalized += components[i];
-    if (i + 1 < components.size()) {
-      normalized += '/';
-    }
-  }
+  const std::string normalized = JoinPath(components);
   const std::string prefix = normalized == "/" ? "/" : normalized + "/";
   for (const MountEntry& m : mounts_) {
     if (m.path.size() <= prefix.size() || m.path.compare(0, prefix.size(), prefix) != 0) {

@@ -67,12 +67,15 @@ class Vfs {
  private:
   struct MountEntry {
     std::string path;  // normalized, no trailing slash except root
+    std::vector<std::string> components;  // `path` split, empty for root
     uint32_t fs_id = 0;
     std::unique_ptr<FileSystem> fs;
   };
 
   // Split into normalized components, resolving "." and "..".
   static Result<std::vector<std::string>> SplitPath(std::string_view path);
+  // The normalized absolute path of split components ("/" for none).
+  static std::string JoinPath(const std::vector<std::string>& components);
   const MountEntry* FindMount(const std::vector<std::string>& components,
                               size_t* consumed) const;
 

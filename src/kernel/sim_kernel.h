@@ -20,7 +20,7 @@
 #include "src/kernel/process.h"
 #include "src/kernel/sleds_table.h"
 #include "src/obs/observer.h"
-#include "src/openload/timing_wheel.h"
+#include "src/openload/heap_sched.h"
 #include "src/progs/program.h"
 #include "src/sleds/sled.h"
 
@@ -369,13 +369,12 @@ class SimKernel {
   std::vector<std::unique_ptr<Process>> processes_;
   std::vector<WritebackEntry> writeback_queue_;
   std::unordered_map<PageKey, InFlightPage, PageKeyHash> inflight_;
-  // Pending page arrivals (completion time -> page), on the hierarchical
-  // timing wheel shared with the open-loop engine. Completions are enqueued
-  // at or after the previous harvest time and harvested per-key with
-  // order-independent actions, so replacing the old binary heap keeps every
-  // simulated outcome byte-identical while making enqueue/harvest O(1)
-  // amortized instead of O(log n).
-  TimingWheel<PageKey> arrivals_;
+  // Pending page arrivals (completion time -> page), on the scheduler the
+  // open-loop engine uses. Completions are enqueued at or after the previous
+  // harvest time and harvested per key with order-independent actions. The
+  // queue holds at most the engine's in-flight pages, so it stays small and
+  // costs nothing in kFifoSync, where it is never filled.
+  HeapScheduler<PageKey> arrivals_;
   // Armed by Fsync to collect its requests' completions (time + success);
   // while armed, CompleteIo leaves write-failure handling to Fsync instead of
   // auto-resubmitting.

@@ -54,7 +54,7 @@ class LatencyHistogram {
   // Raw bucket counts (CDF export walks the occupied buckets directly).
   const std::array<int64_t, kNumBuckets>& buckets() const { return buckets_; }
 
-  // Bucket-wise equality: what the open-loop engine's wheel-vs-heap and
+  // Bucket-wise equality: what the open-loop engine's run-to-run and
   // shard-count identity assertions compare.
   bool operator==(const LatencyHistogram&) const = default;
 

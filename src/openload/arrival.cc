@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "src/common/rng.h"
+
 namespace sled {
 namespace {
 
@@ -82,10 +84,9 @@ const char* ArrivalPatternName(ArrivalPattern pattern) {
 }
 
 uint64_t OpenLoadRandom(uint64_t* state) {
-  uint64_t x = (*state += 0x9e3779b97f4a7c15ull);
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
+  const uint64_t draw = SplitMix64(*state);
+  *state += 0x9e3779b97f4a7c15ull;
+  return draw;
 }
 
 double OpenLoadUniform(uint64_t* state) {

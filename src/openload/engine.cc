@@ -12,24 +12,15 @@
 #include <vector>
 
 #include "src/common/log.h"
+#include "src/common/rng.h"
 #include "src/common/units.h"
 #include "src/openload/heap_sched.h"
-#include "src/openload/timing_wheel.h"
 #include "src/shard/shard_runtime.h"
 
 namespace sled {
 namespace {
 
 constexpr char kLoadPath[] = "/data/load";
-
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-uint64_t DeriveSeed(uint64_t base, uint64_t salt) { return SplitMix64(base ^ SplitMix64(salt)); }
 
 // The kKernel service rig: one world's simulated machine, its load file, and
 // the station process every request is charged to. Requests are serviced one
@@ -188,11 +179,25 @@ Request PickRequest(const OpenLoadConfig& c, Client* cl, int64_t file_bytes) {
   return {offset, length};
 }
 
-// The engine core, templated over the scheduler so the wheel and the heap
-// oracle run the exact same code path — the differential guarantee is about
-// the scheduler, not about two divergent drivers.
-template <typename Sched>
-OpenLoadWorldResult RunWorldWith(const OpenLoadConfig& c, int64_t world_id, ObsAccumulator* acc) {
+void AppendF(std::string* out, const char* fmt, ...) __attribute__((format(printf, 2, 3)));
+void AppendF(std::string* out, const char* fmt, ...) {
+  char buf[160];
+  va_list ap;
+  va_start(ap, fmt);
+  std::vsnprintf(buf, sizeof(buf), fmt, ap);
+  va_end(ap);
+  out->append(buf);
+}
+
+}  // namespace
+
+OpenLoadWorldResult RunOpenLoadWorld(const OpenLoadConfig& c, int64_t world_id,
+                                     ObsAccumulator* acc) {
+  SLED_CHECK(c.clients >= 1 && c.worlds >= 1 && world_id >= 0 && world_id < c.worlds,
+             "openload: bad world shape");
+  SLED_CHECK(c.pattern != ArrivalPattern::kTrace ||
+                 (c.trace_ops != nullptr && !c.trace_ops->empty()),
+             "openload: kTrace requires a non-empty op stream");
   OpenLoadWorldResult res;
   res.world_id = world_id;
   const int64_t base = c.clients / c.worlds;
@@ -227,8 +232,7 @@ OpenLoadWorldResult RunWorldWith(const OpenLoadConfig& c, int64_t world_id, ObsA
   }
 
   std::vector<Client> clients(static_cast<size_t>(clients_n));
-  Sched sched;
-  sched.Reserve(static_cast<size_t>(clients_n));
+  HeapScheduler<int32_t> sched;
   const uint64_t horizon_ns = static_cast<uint64_t>(std::llround(c.horizon_s * 1e9));
   SLED_CHECK(horizon_ns >= 1, "openload: degenerate horizon");
   for (int64_t i = 0; i < clients_n; ++i) {
@@ -300,18 +304,6 @@ OpenLoadWorldResult RunWorldWith(const OpenLoadConfig& c, int64_t world_id, ObsA
   return res;
 }
 
-void AppendF(std::string* out, const char* fmt, ...) __attribute__((format(printf, 2, 3)));
-void AppendF(std::string* out, const char* fmt, ...) {
-  char buf[160];
-  va_list ap;
-  va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  out->append(buf);
-}
-
-}  // namespace
-
 std::vector<ReadOp> ExtractReadOps(const Trace& trace) {
   std::vector<ReadOp> ops;
   std::map<int, int64_t> cursor;  // per-descriptor file offset
@@ -345,20 +337,6 @@ std::vector<ReadOp> ExtractReadOps(const Trace& trace) {
     }
   }
   return ops;
-}
-
-OpenLoadWorldResult RunOpenLoadWorld(const OpenLoadConfig& config, int64_t world_id,
-                                     ObsAccumulator* acc) {
-  SLED_CHECK(config.clients >= 1 && config.worlds >= 1 && world_id >= 0 &&
-                 world_id < config.worlds,
-             "openload: bad world shape");
-  SLED_CHECK(config.pattern != ArrivalPattern::kTrace ||
-                 (config.trace_ops != nullptr && !config.trace_ops->empty()),
-             "openload: kTrace requires a non-empty op stream");
-  if (config.scheduler == SchedulerKind::kHeap) {
-    return RunWorldWith<HeapScheduler<int32_t>>(config, world_id, acc);
-  }
-  return RunWorldWith<TimingWheel<int32_t>>(config, world_id, acc);
 }
 
 ScenarioResult RunOpenLoadScenario(const OpenLoadConfig& config) {

@@ -11,8 +11,9 @@
 //
 // Two timelines cooperate per world:
 //   * the engine timeline (uint64 ns since scenario start): arrivals live
-//     here, scheduled on the hierarchical timing wheel; one pending arrival
-//     per client, so a million clients means a million concurrent timers.
+//     here, on the (deadline, sequence) heap of src/openload/heap_sched.h;
+//     one pending arrival per client, so a million clients means a million
+//     concurrent timers.
 //   * the kernel's simulated clock: the service-time oracle. A request's
 //     service time is the kernel-clock delta of actually issuing its reads
 //     against the world's storage stack (cache state, readahead, device
@@ -44,11 +45,9 @@ namespace sled {
 //   kKernel    — issue real Lseek+Read syscalls on the world's SimKernel and
 //                charge the kernel-clock delta (the scenario mode).
 //   kSynthetic — a deterministic per-client draw, no kernel at all (the
-//                scheduler-benchmark mode: every nanosecond of wall time is
-//                wheel-vs-heap, not page cache).
+//                scheduler-benchmark mode: the wall time is the scheduler and
+//                the arrival generators, not the page cache).
 enum class ServiceModel { kKernel, kSynthetic };
-
-enum class SchedulerKind { kWheel, kHeap };
 
 // One replayable read: the (offset, length) stream ExtractReadOps distills
 // from a recorded Trace for the kTrace arrival pattern.
@@ -83,7 +82,6 @@ struct OpenLoadConfig {
 
   uint64_t seed = 1;
   ServiceModel service = ServiceModel::kKernel;
-  SchedulerKind scheduler = SchedulerKind::kWheel;
 
   // kSynthetic service: base + (draw & jitter_mask) nanoseconds.
   uint64_t synthetic_base_ns = 800;
@@ -94,7 +92,7 @@ struct OpenLoadConfig {
   const std::vector<ReadOp>* trace_ops = nullptr;
 };
 
-// Integer outcome of one world; operator== is what the wheel-vs-heap and
+// Integer outcome of one world; operator== is what the run-to-run and
 // shard-count identity assertions compare (the histogram compares bucket-wise
 // through LatencyHistogram::operator==).
 struct OpenLoadWorldResult {

@@ -1,8 +1,17 @@
-// Heap-based reference scheduler: the semantic oracle the timing wheel is
-// differentially tested against, and the baseline bench_openloop times the
-// wheel's O(1) paths over. A std::priority_queue ordered by
-// (deadline, schedule sequence) — exactly the wheel's contract: nondecreasing
-// deadline, FIFO among ties, past deadlines clamped to the current time.
+// The simulator's one event scheduler: a binary heap ordered by
+// (deadline, schedule sequence). It carries the open-loop engine's client
+// arrivals (DESIGN.md §12) and the SimKernel's pending page arrivals.
+//
+// Semantics (pinned by tests/openload_diff_test.cc):
+//   * ExpireUpTo(t) fires every timer with effective deadline <= t in
+//     nondecreasing deadline order; ties fire in schedule order (FIFO).
+//   * Deadlines in the past are clamped to the current time: a timer never
+//     fires before it is scheduled, and never earlier than a previously
+//     fired time (scheduler time is monotone).
+//   * Callbacks may Schedule freely; a timer scheduled for the current
+//     instant from inside a callback fires in the same sweep, after the
+//     timers already due at that instant.
+//   * A scheduled timer always fires; there is no cancellation.
 #ifndef SLEDS_SRC_OPENLOAD_HEAP_SCHED_H_
 #define SLEDS_SRC_OPENLOAD_HEAP_SCHED_H_
 
@@ -16,8 +25,6 @@ namespace sled {
 template <typename T>
 class HeapScheduler {
  public:
-  void Reserve(size_t timers) { storage_.reserve(timers); }
-
   uint64_t now() const { return now_; }
   size_t size() const { return heap_.size(); }
   bool empty() const { return heap_.empty(); }
@@ -29,6 +36,8 @@ class HeapScheduler {
     heap_.push(Entry{deadline, next_seq_++, std::move(payload)});
   }
 
+  // Advance scheduler time to `t`, invoking fn(deadline, payload) for every
+  // timer with deadline <= t (order documented above). fn may call Schedule.
   template <typename Fn>
   void ExpireUpTo(uint64_t t, Fn&& fn) {
     if (t < now_) {
@@ -57,8 +66,7 @@ class HeapScheduler {
     }
   };
 
-  std::vector<Entry> storage_;
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_{Later{}, std::move(storage_)};
+  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
   uint64_t next_seq_ = 1;
   uint64_t now_ = 0;
 };

@@ -6,20 +6,9 @@
 #include <vector>
 
 #include "src/common/log.h"
+#include "src/common/rng.h"
 
 namespace sled {
-namespace {
-
-// splitmix64: the partition hash. Cheap, well-mixed, and stable across
-// platforms, so world placement never depends on std::hash implementation.
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 int HardwareThreads() {
   const unsigned n = std::thread::hardware_concurrency();
@@ -50,6 +39,8 @@ ShardRuntime::ShardRuntime(ShardConfig config) : shards_(ResolveShardCount(confi
   SLED_CHECK(shards_ >= 1, "shard count must be >= 1");
 }
 
+// splitmix64 is the partition hash: stable across platforms, so world
+// placement never depends on the std::hash implementation.
 int ShardRuntime::ShardOf(int64_t world_id) const {
   return static_cast<int>(SplitMix64(static_cast<uint64_t>(world_id)) %
                           static_cast<uint64_t>(shards_));

@@ -16,18 +16,6 @@
 namespace sled {
 namespace {
 
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-// Independent stream derivation. Chaining through SplitMix64 keeps every
-// (world, process) stream decorrelated from its neighbors while staying a
-// pure function of the inputs — no shard id, no thread id.
-uint64_t DeriveSeed(uint64_t base, uint64_t salt) { return SplitMix64(base ^ SplitMix64(salt)); }
-
 std::string FilePath(int64_t world, int process, int file) {
   // Odd file indexes live on flash, even on the disk mount: every process
   // exercises both mounts.

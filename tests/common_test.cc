@@ -199,6 +199,12 @@ TEST(RngTest, UniformBounds) {
   }
 }
 
+// The reference splitmix64 outputs for seeds 0 and 1.
+TEST(RngTest, SplitMix64MatchesReference) {
+  EXPECT_EQ(SplitMix64(0), 0xe220a8397b1dcdafull);
+  EXPECT_EQ(SplitMix64(1), 0x910a2dec89025cc1ull);
+}
+
 TEST(AsciiPlotTest, RendersSeriesAndLegend) {
   PlotSeries s1{"with", '+', {0, 1, 2, 3}, {0, 1, 4, 9}};
   PlotSeries s2{"without", 'x', {0, 1, 2, 3}, {0, 2, 8, 18}};

@@ -1,23 +1,23 @@
-// Differential and statistical tests for the open-loop traffic engine
-// (cache_diff_test playbook, applied to the timing wheel).
+// Property and statistical tests for the open-loop traffic engine and its
+// event scheduler.
 //
-// The hierarchical timing wheel's semantics are pinned against a
-// (deadline, sequence)-ordered binary-heap oracle under a randomized op mix
-// that exercises every structural regime: level-0 wraparound, multi-level
-// cascades, far-future overflow parking and past-deadline clamping. The
-// arrival processes get statistical sanity checks at fixed seeds (empirical
-// rates against configured rates), and the engine itself is
-// checked for scheduler-independence (wheel == heap), run-to-run determinism,
-// and shard-count invariance through the ObsAccumulator merge path.
+// The (deadline, sequence) heap scheduler is driven through a randomized op
+// mix — near and far deadlines, deltas past 2^48 ns, and past deadlines that
+// must clamp — and checked against its contract after every advance: fire
+// order, FIFO among ties, exactly-once firing and clamping. The arrival
+// processes get statistical sanity checks at fixed seeds (empirical rates
+// against configured rates), and the engine itself is checked for run-to-run
+// determinism and shard-count invariance through the ObsAccumulator merge
+// path.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "src/openload/arrival.h"
 #include "src/openload/engine.h"
 #include "src/openload/heap_sched.h"
-#include "src/openload/timing_wheel.h"
 #include "src/workload/trace.h"
 
 namespace sled {
@@ -29,30 +29,35 @@ struct Fired {
   bool operator==(const Fired&) const = default;
 };
 
-// Drive the wheel and the heap oracle through an identical randomized op mix
-// and require identical fire sequences after every advance. Deltas are drawn
-// from all structural regimes of the wheel.
-TEST(TimingWheelDiff, RandomizedAgainstHeapOracle) {
+// Schedule and advance at random, and after every advance require the
+// scheduler's contract: fired deadlines never decrease, equal deadlines fire
+// in schedule order, each timer fires exactly once at its clamped deadline
+// and not before, nothing due is left behind, and size()/empty() track the
+// pending set.
+TEST(HeapScheduler, RandomizedInvariants) {
   for (const uint64_t seed : {1ull, 7ull, 0xdeadbeefull}) {
     uint64_t rng = seed;
-    TimingWheel<int32_t> wheel;
-    HeapScheduler<int32_t> heap;
+    HeapScheduler<int32_t> sched;
     uint64_t now = 0;
     int32_t next_id = 0;
-    std::vector<Fired> wheel_fired;
-    std::vector<Fired> heap_fired;
-    auto expire_both = [&](uint64_t t) {
-      wheel.ExpireUpTo(t, [&](uint64_t d, int32_t p) { wheel_fired.push_back({d, p}); });
-      heap.ExpireUpTo(t, [&](uint64_t d, int32_t p) { heap_fired.push_back({d, p}); });
-      ASSERT_EQ(wheel_fired.size(), heap_fired.size());
-      for (size_t i = 0; i < wheel_fired.size(); ++i) {
-        ASSERT_EQ(wheel_fired[i], heap_fired[i]) << "seed " << seed << " at fire " << i;
-        if (i > 0) {
-          ASSERT_GE(wheel_fired[i].deadline, wheel_fired[i - 1].deadline);
-        }
+    std::map<int32_t, uint64_t> pending;  // id -> clamped deadline
+    Fired last{0, -1};
+    auto expire = [&](uint64_t t) {
+      sched.ExpireUpTo(t, [&](uint64_t d, int32_t p) {
+        auto it = pending.find(p);
+        ASSERT_NE(it, pending.end()) << "seed " << seed << ": id " << p << " fired twice";
+        ASSERT_EQ(d, it->second) << "seed " << seed << ": id " << p;
+        ASSERT_LE(d, t);
+        ASSERT_TRUE(d > last.deadline || (d == last.deadline && p > last.payload))
+            << "seed " << seed << ": (" << d << ", " << p << ") after (" << last.deadline
+            << ", " << last.payload << ")";
+        last = {d, p};
+        pending.erase(it);
+      });
+      ASSERT_EQ(sched.now(), t);
+      for (const auto& [id, deadline] : pending) {
+        ASSERT_GT(deadline, t) << "seed " << seed << ": id " << id << " left due";
       }
-      wheel_fired.clear();
-      heap_fired.clear();
     };
 
     for (int step = 0; step < 30000; ++step) {
@@ -61,80 +66,71 @@ TEST(TimingWheelDiff, RandomizedAgainstHeapOracle) {
         uint64_t deadline;
         const uint64_t kind = OpenLoadRandom(&rng) % 12;
         if (kind < 4) {
-          deadline = now + OpenLoadRandom(&rng) % 256;  // level 0, incl. wrap
+          deadline = now + OpenLoadRandom(&rng) % 256;
         } else if (kind < 7) {
-          deadline = now + OpenLoadRandom(&rng) % (uint64_t{1} << 16);  // level 1
+          deadline = now + OpenLoadRandom(&rng) % (uint64_t{1} << 16);
         } else if (kind < 9) {
-          deadline = now + OpenLoadRandom(&rng) % (uint64_t{1} << 26);  // cascades
+          deadline = now + OpenLoadRandom(&rng) % (uint64_t{1} << 26);
         } else if (kind < 10) {
-          // Far future: beyond the 2^48 direct horizon (overflow parking).
+          // Far future: beyond 2^48 ns.
           deadline = now + (uint64_t{1} << 48) + OpenLoadRandom(&rng) % (uint64_t{1} << 49);
         } else {
-          // The past: both schedulers clamp to their current time.
+          // The past: clamped to the scheduler's current time.
           deadline = now - (now > 0 ? OpenLoadRandom(&rng) % now : 0);
         }
-        wheel.Schedule(deadline, next_id);
-        heap.Schedule(deadline, next_id);
+        sched.Schedule(deadline, next_id);
+        pending[next_id] = deadline < now ? now : deadline;
         ++next_id;
       } else {
         const int shift = static_cast<int>(OpenLoadRandom(&rng) % 30);
         now += OpenLoadRandom(&rng) % (uint64_t{1} << shift) + 1;
-        expire_both(now);
+        expire(now);
       }
-      ASSERT_EQ(wheel.size(), heap.size());
+      ASSERT_EQ(sched.size(), pending.size());
+      ASSERT_EQ(sched.empty(), pending.empty());
     }
-    // Drain everything, including the overflow parkers (forces repeated
-    // top-level re-cascades until their true deadlines come into range).
+    // Drain everything, including the far-future timers.
     now += uint64_t{1} << 50;
-    expire_both(now);
-    ASSERT_TRUE(wheel.empty());
-    ASSERT_TRUE(heap.empty());
+    expire(now);
+    ASSERT_TRUE(sched.empty());
+    ASSERT_TRUE(pending.empty());
   }
 }
 
-// Equal deadlines fire in schedule order, both when they stay on level 0 and
-// when they reach their slot through multi-level cascades.
-TEST(TimingWheelDiff, FifoAmongEqualDeadlines) {
+// Equal deadlines fire in schedule order, near and far.
+TEST(HeapScheduler, FifoAmongEqualDeadlines) {
   for (const uint64_t delta : {uint64_t{5}, uint64_t{70000}, uint64_t{1} << 30}) {
-    TimingWheel<int32_t> wheel;
+    HeapScheduler<int32_t> sched;
     const uint64_t deadline = 1000 + delta;
+    std::vector<Fired> expect;
     for (int32_t i = 0; i < 100; ++i) {
-      wheel.Schedule(deadline, i);
+      sched.Schedule(deadline, i);
+      expect.push_back({deadline, i});
     }
-    int32_t expect = 0;
-    wheel.ExpireUpTo(deadline + 1, [&](uint64_t d, int32_t p) {
-      EXPECT_EQ(d, deadline);
-      EXPECT_EQ(p, expect++);
-    });
-    EXPECT_EQ(expect, 100);
+    std::vector<Fired> fired;
+    sched.ExpireUpTo(deadline + 1, [&](uint64_t d, int32_t p) { fired.push_back({d, p}); });
+    EXPECT_EQ(fired, expect) << "delta " << delta;
   }
 }
 
 // A callback scheduling for the current instant joins the same sweep, after
-// the batch it was scheduled from — on both schedulers, identically.
-TEST(TimingWheelDiff, CallbackScheduleJoinsSweep) {
-  TimingWheel<int32_t> wheel;
-  HeapScheduler<int32_t> heap;
-  std::vector<Fired> wf;
-  std::vector<Fired> hf;
-  wheel.Schedule(100, 0);
-  heap.Schedule(100, 0);
-  wheel.ExpireUpTo(300, [&](uint64_t d, int32_t p) {
-    wf.push_back({d, p});
+// the timers already due at that instant; one scheduled for a later instant
+// within the sweep fires in the same sweep too.
+TEST(HeapScheduler, CallbackScheduleJoinsSweep) {
+  HeapScheduler<int32_t> sched;
+  std::vector<Fired> fired;
+  sched.Schedule(100, 0);
+  sched.ExpireUpTo(300, [&](uint64_t d, int32_t p) {
+    fired.push_back({d, p});
     if (p < 4) {
-      wheel.Schedule(d, p + 10);       // same instant: fires this sweep
-      wheel.Schedule(d + 50, p + 1);   // later instant: also within the sweep
+      sched.Schedule(d, p + 10);      // same instant
+      sched.Schedule(d + 50, p + 1);  // later instant, still within the sweep
     }
   });
-  heap.ExpireUpTo(300, [&](uint64_t d, int32_t p) {
-    hf.push_back({d, p});
-    if (p < 4) {
-      heap.Schedule(d, p + 10);
-      heap.Schedule(d + 50, p + 1);
-    }
-  });
-  EXPECT_EQ(wf, hf);
-  EXPECT_EQ(wf.size(), 9u);
+  const std::vector<Fired> expect = {{100, 0},  {100, 10}, {150, 1},  {150, 11}, {200, 2},
+                                     {200, 12}, {250, 3},  {250, 13}, {300, 4}};
+  EXPECT_EQ(fired, expect);
+  EXPECT_TRUE(sched.empty());
 }
 
 // ---- arrival process statistics (fixed seeds, deterministic) ----
@@ -164,6 +160,15 @@ double MeanGap(ArrivalPattern pattern, double mean_gap_ns, int n, uint64_t seed,
   return mean;
 }
 
+// The per-client stream is the splitmix64 sequence: each draw is SplitMix64
+// of the state before the golden-ratio increment.
+TEST(ArrivalProcess, OpenLoadRandomIsSplitMix64Sequence) {
+  uint64_t state = 0;
+  EXPECT_EQ(OpenLoadRandom(&state), 0xe220a8397b1dcdafull);
+  EXPECT_EQ(OpenLoadRandom(&state), 0x6e789e6aa1b965f4ull);
+  EXPECT_EQ(OpenLoadRandom(&state), 0x06c45d188009454full);
+}
+
 TEST(ArrivalProcess, PoissonEmpiricalRate) {
   double cv2 = 0;
   const double mean = MeanGap(ArrivalPattern::kPoisson, 1e6, 200000, 42, &cv2);
@@ -185,7 +190,7 @@ TEST(ArrivalProcess, DiurnalThinningPreservesMeanRate) {
 
 // ---- engine-level differentials ----
 
-TEST(OpenLoadEngine, WheelMatchesHeapOnEveryPattern) {
+TEST(OpenLoadEngine, DeterministicAcrossRuns) {
   for (const ArrivalPattern pattern :
        {ArrivalPattern::kPoisson, ArrivalPattern::kBurst, ArrivalPattern::kDiurnal}) {
     OpenLoadConfig c;
@@ -195,27 +200,14 @@ TEST(OpenLoadEngine, WheelMatchesHeapOnEveryPattern) {
     c.pattern = pattern;
     c.per_client_rps = 20;
     c.horizon_s = 0.5;
-    OpenLoadConfig heap_c = c;
-    heap_c.scheduler = SchedulerKind::kHeap;
     for (int64_t w = 0; w < c.worlds; ++w) {
       const OpenLoadWorldResult a = RunOpenLoadWorld(c, w, nullptr);
-      const OpenLoadWorldResult b = RunOpenLoadWorld(heap_c, w, nullptr);
-      EXPECT_EQ(a, b) << ArrivalPatternName(pattern) << " world " << w;
-      EXPECT_GT(a.arrivals, 0);
-      EXPECT_EQ(a.arrivals, a.completions);
+      EXPECT_GT(a.arrivals, 0) << ArrivalPatternName(pattern) << " world " << w;
+      EXPECT_EQ(a.arrivals, a.completions) << ArrivalPatternName(pattern) << " world " << w;
+      EXPECT_EQ(a, RunOpenLoadWorld(c, w, nullptr)) << ArrivalPatternName(pattern) << " world "
+                                                    << w;
     }
   }
-}
-
-TEST(OpenLoadEngine, DeterministicAcrossRuns) {
-  OpenLoadConfig c;
-  c.clients = 3000;
-  c.worlds = 3;
-  c.service = ServiceModel::kSynthetic;
-  c.pattern = ArrivalPattern::kBurst;
-  c.per_client_rps = 40;
-  c.horizon_s = 0.25;
-  EXPECT_EQ(RunOpenLoadWorld(c, 1, nullptr), RunOpenLoadWorld(c, 1, nullptr));
 }
 
 // N-shard scenario == single-shard oracle, through the full kernel service
